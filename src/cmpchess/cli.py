@@ -6,8 +6,8 @@ PGN, `pretrain` the feature extractor, `train` the pairwise comparator,
 `bench`, and `audit` to operate the result.
 
 Configuration files are flat `key = value` text with `#` comments;
-command-line flags override file values. Exit codes: 0 success,
-1 usage/configuration error, 2 engine failure.
+unknown keys are refused and command-line flags override file values.
+Exit codes: 0 success, 1 usage/configuration error, 2 engine failure.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import fields
 from typing import Optional
-
-import numpy as np
 
 from .board import GameOutcome, apply_move, legal_moves, parse_fen, startpos
 from .dataset import (
@@ -52,6 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 _BOOLS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
+
+ENGINE_KEYS = tuple(f.name for f in fields(EngineConfig))
+MATCH_KEYS = ("games", "max_plies", "time_per_game", "openings",
+              "alternate_colors", "pgn_out")
 
 
 def parse_config_text(text: str) -> dict:
@@ -89,9 +92,15 @@ def _as_bool(value) -> bool:
 
 def engine_config_from(cfg: dict, prefix: str = "",
                        overrides: Optional[dict] = None) -> EngineConfig:
-    """EngineConfig from flat config keys like `<prefix>comparator`."""
+    """EngineConfig from flat config keys like `<prefix>comparator`.
+
+    Every key under `prefix` must be one of ENGINE_KEYS.
+    """
     merged = {key[len(prefix):]: value for key, value in cfg.items()
               if key.startswith(prefix)}
+    for key in merged:
+        if key not in ENGINE_KEYS:
+            raise UsageError(f"unknown config key {prefix + key!r}")
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
@@ -100,7 +109,6 @@ def engine_config_from(cfg: dict, prefix: str = "",
             model_path=merged.get("model_path") or None,
             cache_mb=float(merged.get("cache_mb", 32.0)),
             comparator=str(merged.get("comparator", "material")),
-            deterministic=_as_bool(merged.get("deterministic", True)),
             seed=int(merged.get("seed", 0)),
             max_depth=int(merged.get("max_depth", 64)))
     except ValueError as exc:
@@ -236,11 +244,14 @@ def cmd_play(args) -> int:
 
 def cmd_match(args) -> int:
     cfg = load_config(args.config)
+    for key in cfg:
+        if not key.startswith(("a.", "b.")) and key not in MATCH_KEYS:
+            raise UsageError(f"unknown config key {key!r}")
     engine_a = engine_config_from(cfg, "a.")
     engine_b = engine_config_from(cfg, "b.")
     openings = None
-    if cfg.get("openings_file"):
-        with open(cfg["openings_file"]) as f:
+    if cfg.get("openings"):
+        with open(cfg["openings"]) as f:
             openings = [line.split("#", 1)[0].strip()
                         for line in f if line.split("#", 1)[0].strip()]
     time_per_game = None
@@ -323,14 +334,13 @@ def cmd_bench(args) -> int:
     if cfg.comparator == "learned":
         net = load_model(cfg.model_path)
         first = net.extractor.layers[0]
-        sample = positions[:500]
         began = time.perf_counter()
-        for p in sample:
+        for p in positions:
             sparse_affine(first, active_bits(p))
         sparse_t = time.perf_counter() - began
         dtype = first.weights.dtype
         began = time.perf_counter()
-        for p in sample:
+        for p in positions:
             first.weights @ encode(p).astype(dtype) + first.bias
         dense_t = time.perf_counter() - began
         print(f"sparse vs dense first layer: {dense_t / sparse_t:.1f}x "

@@ -1,4 +1,4 @@
-"""Labeled positions and training pairs from decisive games.
+"""Labeled positions from decisive games, and the dataset file format.
 
 Sampling rules: up to k positions per decisive game, drawn uniformly
 without replacement from the eligible plies; a ply is eligible when the
@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import struct
 from enum import IntEnum
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,12 +39,6 @@ class LabeledPosition(NamedTuple):
     label: Label
     source_game_id: int
     ply: int
-
-
-class PairSample(NamedTuple):
-    first: np.ndarray
-    second: np.ndarray
-    target: tuple  # (1, 0) = first is the W position, (0, 1) = second is
 
 
 class SplitDataset(NamedTuple):
@@ -131,20 +125,6 @@ def split(positions: Iterable[LabeledPosition], val_per_class: int,
     return SplitDataset(train_W=wins[val_per_class:], train_L=losses[val_per_class:],
                         val_W=wins[:val_per_class], val_L=losses[:val_per_class],
                         seed=seed)
-
-
-def sample_pairs(ds: SplitDataset, n: int, rng: random.Random
-                 ) -> Iterator[PairSample]:
-    """n pairs of (one W, one L) training vectors in randomized order."""
-    if not ds.train_W or not ds.train_L:
-        raise InsufficientData("both training classes must be nonempty")
-    for _ in range(n):
-        w = rng.choice(ds.train_W).vector
-        l = rng.choice(ds.train_L).vector
-        if rng.random() < 0.5:
-            yield PairSample(w, l, (1, 0))
-        else:
-            yield PairSample(l, w, (0, 1))
 
 
 def class_matrix(positions: list[LabeledPosition]) -> np.ndarray:

@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .board import Color, Position
-from .encoding import VECTOR_BITS, active_bits
-from .nn.layers import DenseLayer, LINEAR, RELU, softmax_rows
+from .encoding import active_bits
+from .nn.layers import DenseLayer, RELU, stack_forward
 from .nn.model import FeatureExtractor, SiameseNetwork
 
 
@@ -108,18 +108,6 @@ def _extractor_of(net) -> FeatureExtractor:
     return getattr(net, "extractor", net)
 
 
-def _run_layers(layers, x: np.ndarray) -> np.ndarray:
-    for layer in layers:
-        z = layer.weights @ x + layer.bias
-        if layer.activation == RELU:
-            x = np.maximum(z, 0)
-        elif layer.activation == LINEAR:
-            x = z
-        else:
-            x = softmax_rows(z)
-    return x
-
-
 def features_of(p: Position, net, cache: Optional[FeatureCache] = None
                 ) -> np.ndarray:
     """Feature vector of a position: sparse first layer, dense rest.
@@ -135,7 +123,7 @@ def features_of(p: Position, net, cache: Optional[FeatureCache] = None
     first = ext.layers[0]
     z = sparse_affine(first, active_bits(p))
     x = np.maximum(z, 0) if first.activation == RELU else z
-    x = _run_layers(ext.layers[1:], x)
+    x, _ = stack_forward(ext.layers[1:], x)
     if cache is not None:
         cache.put(p.zobrist, x)
     return x
@@ -148,7 +136,7 @@ def compare(net, fa: np.ndarray, fb: np.ndarray) -> tuple:
     softmax component. An exact tie is SecondBetter by convention.
     """
     head = getattr(net, "head", net)
-    probs = _run_layers(head, np.concatenate([fa, fb]))
+    probs, _ = stack_forward(head, np.concatenate([fa, fb]))
     if probs[0] > probs[1]:
         return Ordering.FIRST_BETTER, float(probs[0])
     return Ordering.SECOND_BETTER, float(probs[1])

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .board import Color, GameOutcome, Position, apply_move, legal_moves, \
     parse_fen, startpos, to_fen
 from .pgn import write_pgn
-from .search import SearchLimits, search_root
+from .search import SearchLimits, clock_limits, search_root
 from .uci import EngineConfig, build_comparator, engine_label
 
 
@@ -116,14 +116,6 @@ def _adjudicate(p: Position, seen: Counter) -> Optional[tuple]:
     return None
 
 
-def _move_limits(cfg: EngineConfig, remaining: Optional[float]) -> SearchLimits:
-    if remaining is None:
-        return SearchLimits(max_depth=cfg.max_depth)
-    soft = max(remaining, 0.001) / 30.0
-    return SearchLimits(max_depth=cfg.max_depth, soft_time=soft,
-                        hard_time=2 * soft)
-
-
 def play_game(white: EngineConfig, black: EngineConfig, comparators: dict,
               start: Position, time_per_side: Optional[tuple],
               max_plies: int):
@@ -138,7 +130,9 @@ def play_game(white: EngineConfig, black: EngineConfig, comparators: dict,
             return moves, over[0], over[1]
         mover = p.side_to_move
         cfg = white if mover == Color.WHITE else black
-        limits = _move_limits(cfg, clocks[mover])
+        limits = (SearchLimits(max_depth=cfg.max_depth)
+                  if clocks[mover] is None
+                  else clock_limits(clocks[mover], cfg.max_depth))
         began = time.monotonic()
         try:
             result = search_root(p, limits, comparators[mover])

@@ -114,18 +114,6 @@ def init_siamese(extractor_dims: Sequence[int], head_sizes: Sequence[int],
     return SiameseNetwork(extractor, head)
 
 
-def _as_batches(net: SiameseNetwork, batch):
-    """Accept either (A, B, T) arrays or a list of PairSample records."""
-    if isinstance(batch, tuple) and len(batch) == 3:
-        a, b, t = batch
-    else:
-        a = np.stack([p.first for p in batch])
-        b = np.stack([p.second for p in batch])
-        t = np.array([p.target for p in batch])
-    dtype = net.dtype
-    return (np.asarray(a, dtype), np.asarray(b, dtype), np.asarray(t, dtype))
-
-
 def forward_pairs(net: SiameseNetwork, a, b) -> np.ndarray:
     """Batched probability rows; column 0 = P(first position is the W side)."""
     dtype = net.dtype
@@ -141,12 +129,13 @@ def forward(net: SiameseNetwork, a, b) -> np.ndarray:
 
 
 def loss_and_gradients(net: SiameseNetwork, batch) -> tuple:
-    """Mean cross-entropy over the batch and gradients for every parameter.
+    """Mean cross-entropy over a (first, second, target) array batch and
+    gradients for every parameter.
 
     The extractor gradient is the sum of both branches' contributions
     (tied weights). Raises NonFiniteLoss on overflow.
     """
-    a, b, t = _as_batches(net, batch)
+    a, b, t = (np.asarray(x, net.dtype) for x in batch)
     if len(a) == 0:
         raise ValueError("empty batch")
     n = len(a)

@@ -13,6 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .. import dataset
 from .layers import check_finite, stack_backward, stack_forward
 from .model import (
     AutoEncoder, FeatureExtractor, Gradients, SiameseNetwork,
@@ -76,12 +77,20 @@ def _as_matrix(data) -> np.ndarray:
     """LabeledPosition list or raw array -> uint8 (n, 773) matrix."""
     if isinstance(data, np.ndarray):
         return data.astype(np.uint8, copy=False)
-    return np.stack([getattr(x, "vector", x) for x in data]).astype(np.uint8)
+    return dataset.class_matrix(data)
 
 
 def pair_batches(w_mat: np.ndarray, l_mat: np.ndarray, n_pairs: int,
                  batch_size: int, rng: np.random.Generator, dtype):
-    """Yield (first, second, target) minibatches of freshly sampled pairs."""
+    """Yield (first, second, target) minibatches of freshly sampled pairs.
+
+    Each pair holds one W and one L row, W first with probability 1/2;
+    target (1, 0) marks the W row first.
+    """
+    for name, mat in (("W", w_mat), ("L", l_mat)):
+        if len(mat) == 0:
+            raise dataset.InsufficientData(
+                f"no {name} positions to draw pairs from")
     remaining = n_pairs
     while remaining > 0:
         bs = min(batch_size, remaining)
@@ -174,19 +183,18 @@ def train_deepchess(ds, init: FeatureExtractor, cfg: TrainConfig,
     with the head (tied weights, both branches). Returns the network and
     the per-epoch stats log.
     """
-    from ..dataset import class_matrix
-
     dtype = init.dtype
     rng_init = np.random.default_rng([cfg.seed, 7])
     extractor = init.copy()
     head = init_head(2 * extractor.out_dim, head_sizes, rng_init, dtype)
     net = SiameseNetwork(extractor, head)
 
-    train_w = class_matrix(ds.train_W)
-    train_l = class_matrix(ds.train_L)
+    train_w = dataset.class_matrix(ds.train_W)
+    train_l = dataset.class_matrix(ds.train_L)
     val = None
     if ds.val_W and ds.val_L and val_pairs > 0:
-        val = build_pair_set(class_matrix(ds.val_W), class_matrix(ds.val_L),
+        val = build_pair_set(dataset.class_matrix(ds.val_W),
+                             dataset.class_matrix(ds.val_L),
                              val_pairs, seed=cfg.seed + 1, dtype=dtype)
 
     log: list = []
@@ -249,8 +257,6 @@ def distill(teacher: SiameseNetwork, positions, ds,
     the student extractor keeps fine-tuning unless frozen. Zero-epoch
     configs leave the corresponding stage untrained.
     """
-    from ..dataset import class_matrix
-
     if cfg_stage2 is None:
         cfg_stage2 = cfg_stage1
     if extractor_dims[-1] != teacher.extractor.out_dim:
@@ -270,8 +276,8 @@ def distill(teacher: SiameseNetwork, positions, ds,
     head = init_head(2 * student_ext.out_dim, head_sizes, rng2, dtype)
     student = SiameseNetwork(student_ext, head)
 
-    train_w = class_matrix(ds.train_W)
-    train_l = class_matrix(ds.train_L)
+    train_w = dataset.class_matrix(ds.train_W)
+    train_l = dataset.class_matrix(ds.train_L)
     stage2_log = []
     for epoch in range(cfg_stage2.epochs):
         lr = lr_at(cfg_stage2, epoch)

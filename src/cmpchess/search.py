@@ -29,8 +29,8 @@ is inverted at nodes where Black is to move.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .board import Color, Move, Position, apply_move, legal_moves
 from .inference import CELL_VALUES, Ordering
@@ -166,6 +166,16 @@ class SearchLimits:
             raise ValueError("soft_time must not exceed hard_time")
 
 
+def clock_limits(remaining: float, max_depth: int) -> SearchLimits:
+    """Per-move budget from the mover's remaining clock, in seconds.
+
+    Soft limit = remaining/30, hard limit = twice that. A clock at or
+    below zero counts as one millisecond, so the budget stays positive.
+    """
+    soft = max(remaining, 0.001) / 30.0
+    return SearchLimits(max_depth=max_depth, soft_time=soft, hard_time=2 * soft)
+
+
 @dataclass
 class SearchResult:
     best_move: Move
@@ -177,7 +187,7 @@ class SearchResult:
 
 
 @dataclass
-class _Stats:
+class SearchStats:
     nodes: int = 0
     cutoffs: int = 0
     # abort checks arm once the first iteration is done; the clock is
@@ -195,9 +205,6 @@ class _Stats:
             raise _Abort
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise _Abort
-
-
-SearchStats = _Stats  # public name for callers that want node counts
 
 
 def _victim_value(p: Position, m: Move) -> int:
@@ -224,7 +231,7 @@ def order_moves(p: Position, moves: Sequence[Move],
 
 
 def _ab(p: Position, depth: int, alpha: Bound, beta: Bound, cmp,
-        stats: _Stats, ply: int, prev_best: Optional[Move]):
+        stats: SearchStats, ply: int, prev_best: Optional[Move]):
     """Fail-soft negamax core. Returns (bound, move, principal line)."""
     stats.tick()
     moves = legal_moves(p)
@@ -253,21 +260,17 @@ def _ab(p: Position, depth: int, alpha: Bound, beta: Bound, cmp,
 
 
 def alphabeta_cmp(p: Position, depth: int, alpha: Bound, beta: Bound, cmp,
-                  cache=None, stats: "_Stats | None" = None) -> tuple:
+                  stats: Optional[SearchStats] = None) -> tuple:
     """One fixed-depth comparison search. Returns (bound, move).
 
-    `cache` is the feature cache shared with a learned comparator; the
-    search itself never touches features, so it is accepted only so
-    call sites can thread one object through. Pass a SearchStats to
-    collect node/cutoff counts for this call.
+    Pass a SearchStats to collect node/cutoff counts for this call.
     """
     bound, move, _ = _ab(p, depth, alpha, beta, cmp,
-                         stats if stats is not None else _Stats(), 0, None)
+                         stats if stats is not None else SearchStats(), 0, None)
     return bound, move
 
 
-def search_root(p: Position, limits: SearchLimits, cmp,
-                cache=None) -> SearchResult:
+def search_root(p: Position, limits: SearchLimits, cmp) -> SearchResult:
     """Iterative deepening driver.
 
     Deepens from 1 to `limits.max_depth`; depth 1 always completes, so
@@ -277,12 +280,11 @@ def search_root(p: Position, limits: SearchLimits, cmp,
     """
     if not legal_moves(p):
         raise NoLegalMoves(f"no legal moves in {p!r}")
-    if cache is None:
-        cache = getattr(cmp, "cache", None)
+    cache = getattr(cmp, "cache", None)
     hits_before = cache.hits if cache is not None else 0
 
     start = time.monotonic()
-    stats = _Stats(node_cap=limits.node_cap)
+    stats = SearchStats(node_cap=limits.node_cap)
     if limits.hard_time is not None:
         stats.deadline = start + limits.hard_time
 

@@ -6,9 +6,9 @@ movetime, or clock times), `setoption`, `quit`. The loop never crashes
 on malformed input and never emits an illegal bestmove; anything it
 cannot act on is answered with an `info string` diagnostic.
 
-Per-move time budget from a clock: soft limit = remaining/30, hard
-limit = twice that. A small fraction of `movetime` is kept back so the
-abort check and reply land inside the caller's window.
+A clock-limited `go` budgets each move with `search.clock_limits`. A
+small fraction of `movetime` is kept back so the abort check and reply
+land inside the caller's window.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .board import Color, Move, Position, apply_move, legal_moves, parse_fen, \
 from .inference import (
     FeatureCache, LearnedComparator, MaterialComparator, RandomComparator,
 )
-from .search import NoLegalMoves, SearchLimits, search_root
+from .search import SearchLimits, clock_limits, search_root
 
 ENGINE_NAME = "cmpchess"
 COMPARATORS = ("learned", "material", "random")
@@ -33,9 +33,6 @@ class EngineConfig:
     model_path: Optional[str] = None
     cache_mb: float = 32.0
     comparator: str = "material"
-    deterministic: bool = True  # searches are single-threaded and
-    # reproducible unless time-limited; the flag declares that matches
-    # should rely on it (depth/node limits, no clocks)
     seed: int = 0
     max_depth: int = 64  # strength/limit knob for harness play
 
@@ -121,10 +118,7 @@ def _parse_go_limits(tokens, p: Position, default_depth: int) -> SearchLimits:
                             soft_time=budget, hard_time=budget)
     clock = "wtime" if p.side_to_move == Color.WHITE else "btime"
     if args.get(clock):
-        remaining = args[clock] / 1000.0
-        soft = remaining / 30.0
-        return SearchLimits(max_depth=default_depth,
-                            soft_time=soft, hard_time=2 * soft)
+        return clock_limits(args[clock] / 1000.0, default_depth)
     # bare "go": think for about a second
     return SearchLimits(max_depth=default_depth, soft_time=1.0,
                         hard_time=2.0)

@@ -146,6 +146,40 @@ class TestOperation:
         assert "engine A: +" in out and "elo difference" in out
         assert pgn_out.read_text().startswith("[Event")
 
+    def test_match_plays_from_openings_file(self, tmp_path, capsys):
+        fens = ["4k3/8/8/8/8/8/4P3/4K3 w - - 0 1",
+                "4k3/4p3/8/8/8/8/8/4K3 w - - 0 1"]
+        book = tmp_path / "book.fen"
+        book.write_text("# two king-and-pawn starts\n" + "\n".join(fens) + "\n")
+        pgn_out = tmp_path / "match.pgn"
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(
+            "a.comparator = material\na.max_depth = 1\n"
+            "b.comparator = random\nb.max_depth = 1\n"
+            f"games = 4\nmax_plies = 6\nopenings = {book}\n"
+            f"pgn_out = {pgn_out}\n")
+        assert main(["match", "--config", str(cfg)]) == 0
+        starts = [line for line in pgn_out.read_text().splitlines()
+                  if line.startswith("[FEN ")]
+        assert starts == [f'[FEN "{fen}"]' for fen in fens for _ in (0, 1)]
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("match", "a.max_depth = 1\nb.max_depth = 1\nopenings_file = x\n",
+         "'openings_file'"),
+        ("match", "a.max_depth = 1\nb.max_depth = 1\nb.deterministic = 1\n",
+         "'b.deterministic'"),
+        ("bench", "comparator = material\ngames = 2\n", "'games'"),
+        ("audit", "deterministic = true\n", "'deterministic'"),
+        ("play", "cache_mb = 8\nmaxdepth = 3\n", "'maxdepth'"),
+    ], ids=["match-key", "match-engine-key", "bench", "audit", "play"])
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, command,
+                                        text, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and key in err
+
     def test_bench_material(self, capsys):
         assert main(["bench", "--comparator", "material",
                      "--depth", "2"]) == 0

@@ -6,9 +6,9 @@ import pytest
 
 from cmpchess.board import GameOutcome, apply_move, legal_moves, startpos
 from cmpchess.dataset import (
-    InsufficientData, Label, LabeledPosition, SplitDataset,
+    InsufficientData, Label, LabeledPosition,
     class_matrix, eligible_plies, extract_positions, iter_positions,
-    load_positions, sample_pairs, save_positions, split,
+    load_positions, save_positions, split,
 )
 from cmpchess.encoding import encode
 from cmpchess.fileformat import BadMagic, TruncatedFile, VersionMismatch
@@ -146,46 +146,6 @@ class TestSplit:
         pool += [fake_position(Label.L, 10 + i) for i in range(99)]
         with pytest.raises(InsufficientData, match="W=3"):
             split(pool, val_per_class=3, seed=0)
-
-
-class TestPairs:
-    def make_ds(self, nw=5, nl=5):
-        w = [fake_position(Label.W, i) for i in range(nw)]
-        l = [fake_position(Label.L, 100 + i) for i in range(nl)]
-        return SplitDataset(w, l, [], [], seed=0)
-
-    def test_single_pair_pool_both_orders_show_up(self):
-        ds = self.make_ds(1, 1)
-        got = list(sample_pairs(ds, 64, random.Random(11)))
-        assert len(got) == 64
-        targets = {g.target for g in got}
-        assert targets == {(1, 0), (0, 1)}
-
-    def test_every_pair_has_one_of_each_class(self):
-        ds = self.make_ds()
-        for pair in sample_pairs(ds, 500, random.Random(2)):
-            # the side-to-move bit was abused as a class marker above
-            w_flags = {int(pair.first[768]), int(pair.second[768])}
-            assert w_flags == {0, 1}
-            expect = (1, 0) if pair.first[768] else (0, 1)
-            assert pair.target == expect
-
-    def test_order_marginal_balanced(self):
-        ds = self.make_ds()
-        n = 100_000
-        firsts = sum(p.target[0] for p in sample_pairs(ds, n, random.Random(3)))
-        assert abs(firsts / n - 0.5) < 0.01
-
-    def test_deterministic_stream(self):
-        ds = self.make_ds()
-        a = [(p.target, p.first.tobytes()) for p in sample_pairs(ds, 200, random.Random(8))]
-        b = [(p.target, p.first.tobytes()) for p in sample_pairs(ds, 200, random.Random(8))]
-        assert a == b
-
-    def test_empty_class_rejected(self):
-        ds = SplitDataset([], [fake_position(Label.L, 1)], [], [], 0)
-        with pytest.raises(InsufficientData):
-            list(sample_pairs(ds, 1, random.Random(0)))
 
 
 class TestDatasetFile:

@@ -103,19 +103,6 @@ class TestLoss:
         with pytest.raises(NonFiniteLoss):
             loss_and_gradients(net, tiny_batch(net))
 
-    def test_pair_sample_batch_accepted(self):
-        from cmpchess.dataset import PairSample
-
-        net = init_siamese((773, 8), (6, 2), seed=2, dtype=np.float64)
-        rng = np.random.default_rng(0)
-        pairs = [PairSample(rng.integers(0, 2, 773).astype(np.uint8),
-                            rng.integers(0, 2, 773).astype(np.uint8),
-                            (1, 0) if i % 2 else (0, 1))
-                 for i in range(6)]
-        loss, grads = loss_and_gradients(net, pairs)
-        assert math.isfinite(loss)
-        assert len(grads.extractor) == 1 and len(grads.head) == 2
-
 
 class TestGradients:
     def check_siamese(self, net, batch):

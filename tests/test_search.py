@@ -180,9 +180,9 @@ class TestAlphabeta:
     def test_minimax_value_and_node_bound(self, playout_positions):
         # full minimax is slow; a handful of positions is plenty here
         ps = [q for q in playout_positions[37::251] if legal_moves(q)][:3]
-        from cmpchess.search import _Stats, _ab
+        from cmpchess.search import SearchStats, _ab
         for p in ps:
-            stats = _Stats()
+            stats = SearchStats()
             bound, _, _ = _ab(p, 3, Bound.min_sentinel(), Bound.max_sentinel(),
                               MAT, stats, 0, None)
             counter = [0]

@@ -4,7 +4,9 @@ supervised pair training, and distillation."""
 import numpy as np
 import pytest
 
-from cmpchess.dataset import Label, LabeledPosition, SplitDataset
+from cmpchess.dataset import (
+    InsufficientData, Label, LabeledPosition, SplitDataset,
+)
 from cmpchess.nn import (
     NonFiniteLoss, TrainConfig, distill, lr_at, pretrain_pos2vec,
     train_deepchess,
@@ -81,6 +83,55 @@ class TestPairBatches:
             saw_lw |= bool(target[:, 1].any())
         assert total == 1000
         assert saw_wl and saw_lw
+
+    @staticmethod
+    def class_mats(nw=5, nl=5, dim=16):
+        rng = np.random.default_rng(0)
+        return bit_vectors(rng, nw, dim, 0), bit_vectors(rng, nl, dim, 1)
+
+    def test_single_pair_pool_both_orders_show_up(self):
+        w, l = self.class_mats(1, 1)
+        ((_, _, target),) = pair_batches(w, l, 64, 64,
+                                         np.random.default_rng(11), np.float32)
+        assert len(target) == 64
+        assert {tuple(row) for row in target.tolist()} == {(1, 0), (0, 1)}
+
+    def test_every_pair_has_one_of_each_class(self):
+        w, l = self.class_mats()
+        w_rows = {row.tobytes() for row in w.astype(np.float32)}
+        l_rows = {row.tobytes() for row in l.astype(np.float32)}
+        for first, second, target in pair_batches(
+                w, l, 500, 128, np.random.default_rng(2), np.float32):
+            for a, b, t in zip(first, second, target):
+                if t[0]:
+                    assert a.tobytes() in w_rows and b.tobytes() in l_rows
+                else:
+                    assert a.tobytes() in l_rows and b.tobytes() in w_rows
+
+    def test_order_marginal_balanced(self):
+        w, l = self.class_mats()
+        n = 100_000
+        firsts = sum(float(t[:, 0].sum()) for _, _, t in pair_batches(
+            w, l, n, 4096, np.random.default_rng(3), np.float32))
+        assert abs(firsts / n - 0.5) < 0.01
+
+    def test_deterministic_stream(self):
+        w, l = self.class_mats()
+
+        def stream():
+            return [x.tobytes() for triple in pair_batches(
+                w, l, 200, 64, np.random.default_rng(8), np.float32)
+                for x in triple]
+
+        assert stream() == stream()
+
+    def test_empty_class_rejected(self):
+        w, l = self.class_mats()
+        rng = np.random.default_rng(0)
+        with pytest.raises(InsufficientData, match="no W positions"):
+            next(pair_batches(w[:0], l, 1, 1, rng, np.float32))
+        with pytest.raises(InsufficientData, match="no L positions"):
+            next(pair_batches(w, l[:0], 1, 1, rng, np.float32))
 
     def test_build_pair_set_deterministic(self):
         w = np.eye(16, dtype=np.uint8)

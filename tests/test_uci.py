@@ -105,6 +105,14 @@ class TestPositionAndGo:
         assert len(bestmoves(out)) == 1
         assert took < 1.0  # soft limit is 3000/30 = 100 ms
 
+    def test_negative_clock_still_answers(self):
+        # an overdrawn clock gets the smallest budget, not an error
+        out = run_lines(["position startpos", "go wtime -3000 btime -3000",
+                         "quit"])
+        assert not any("go failed" in line for line in out)
+        (bm,) = bestmoves(out)
+        assert Move.from_uci(bm) in legal_moves(startpos())
+
 
 class TestSetOption:
     def test_comparator_switch(self):
