@@ -301,10 +301,10 @@ class Position:
         return attacked_by(self.board, self._kings[us], us.other)
 
     def is_checkmate(self) -> bool:
-        return not legal_moves(self) and self.is_check()
+        return not has_legal_move(self) and self.is_check()
 
     def is_stalemate(self) -> bool:
-        return not legal_moves(self) and not self.is_check()
+        return not has_legal_move(self) and not self.is_check()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Position)
@@ -512,17 +512,13 @@ def _ep_is_legal(p: Position, from_sq: int, to_sq: int) -> bool:
     return not attacked_by(board, p.king_square(us), us.other)
 
 
-def legal_moves(p: Position) -> list[Move]:
-    """Complete legal move list; empty iff checkmate or stalemate. Memoized."""
-    if p._legal is not None:
-        return p._legal
-
+def _generate(p: Position) -> Iterator[Move]:
+    """The legal moves of p, one at a time, in `legal_moves` order."""
     board = p.board
     us = p.side_to_move
     them = us.other
     own_positive = us == WHITE
     ksq = p.king_square(us)
-    moves: list[Move] = []
 
     # King steps (castling handled after check info is known).
     for t in KING_MOVES[ksq]:
@@ -530,12 +526,11 @@ def legal_moves(p: Position) -> list[Move]:
         if cell != 0 and (cell > 0) == own_positive:
             continue
         if not attacked_by(board, t, them, ignore_sq=ksq):
-            moves.append(Move(ksq, t, capture=cell != 0))
+            yield Move(ksq, t, capture=cell != 0)
 
     checkers = _find_checkers(board, ksq, them)
     if len(checkers) >= 2:
-        p._legal = moves
-        return moves
+        return
 
     pins = _find_pins(board, ksq, us)
 
@@ -547,11 +542,10 @@ def legal_moves(p: Position) -> list[Move]:
         target = None
 
     if us == WHITE:
-        pawn_cell, fwd, start_rank, promo_rank = W_PAWN, 8, 1, 7
+        fwd, start_rank, promo_rank = 8, 1, 7
     else:
-        pawn_cell, fwd, start_rank, promo_rank = B_PAWN, -8, 6, 0
+        fwd, start_rank, promo_rank = -8, 6, 0
     ep = p.en_passant
-    append = moves.append
 
     for sq in range(64):
         cell = board[sq]
@@ -568,27 +562,27 @@ def legal_moves(p: Position) -> list[Move]:
                 if ok:
                     if (one >> 3) == promo_rank:
                         for promo in (QUEEN, ROOK, BISHOP, KNIGHT):
-                            append(Move(sq, one, promotion=promo))
+                            yield Move(sq, one, promotion=promo)
                     else:
-                        append(Move(sq, one))
+                        yield Move(sq, one)
                 if rank == start_rank and board[one + fwd] == 0:
                     two = one + fwd
                     if (pin_mask is None or two in pin_mask) and (target is None or two in target):
-                        append(Move(sq, two, double_push=True))
+                        yield Move(sq, two, double_push=True)
             for t in PAWN_ATTACKS[us][sq]:
                 tc = board[t]
                 if tc != 0 and (tc > 0) != own_positive:
                     if (pin_mask is None or t in pin_mask) and (target is None or t in target):
                         if (t >> 3) == promo_rank:
                             for promo in (QUEEN, ROOK, BISHOP, KNIGHT):
-                                append(Move(sq, t, promotion=promo, capture=True))
+                                yield Move(sq, t, promotion=promo, capture=True)
                         else:
-                            append(Move(sq, t, capture=True))
+                            yield Move(sq, t, capture=True)
                 elif t == ep and ep is not None:
                     # Full make-test: en passant has its own discovered-check
                     # geometry that the pin map does not cover.
                     if _ep_is_legal(p, sq, t):
-                        append(Move(sq, t, capture=True, en_passant=True))
+                        yield Move(sq, t, capture=True, en_passant=True)
 
         elif kind == W_KNIGHT:
             if pin_mask is not None:
@@ -598,7 +592,7 @@ def legal_moves(p: Position) -> list[Move]:
                 if tc != 0 and (tc > 0) == own_positive:
                     continue
                 if target is None or t in target:
-                    append(Move(sq, t, capture=tc != 0))
+                    yield Move(sq, t, capture=tc != 0)
 
         elif kind != W_KING:
             dirs = RAYS[sq]
@@ -612,7 +606,7 @@ def legal_moves(p: Position) -> list[Move]:
                         break
                     if ((pin_mask is None or t in pin_mask)
                             and (target is None or t in target)):
-                        append(Move(sq, t, capture=tc != 0))
+                        yield Move(sq, t, capture=tc != 0)
                     if tc != 0:
                         break
 
@@ -622,26 +616,37 @@ def legal_moves(p: Position) -> list[Move]:
                     and board[7] == W_ROOK
                     and not attacked_by(board, 5, them)
                     and not attacked_by(board, 6, them)):
-                append(Move(4, 6, castle=True))
+                yield Move(4, 6, castle=True)
             if (p.castling & CASTLE_WQ and board[3] == 0 and board[2] == 0
                     and board[1] == 0 and board[0] == W_ROOK
                     and not attacked_by(board, 3, them)
                     and not attacked_by(board, 2, them)):
-                append(Move(4, 2, castle=True))
+                yield Move(4, 2, castle=True)
         else:
             if (p.castling & CASTLE_BK and board[61] == 0 and board[62] == 0
                     and board[63] == B_ROOK
                     and not attacked_by(board, 61, them)
                     and not attacked_by(board, 62, them)):
-                append(Move(60, 62, castle=True))
+                yield Move(60, 62, castle=True)
             if (p.castling & CASTLE_BQ and board[59] == 0 and board[58] == 0
                     and board[57] == 0 and board[56] == B_ROOK
                     and not attacked_by(board, 59, them)
                     and not attacked_by(board, 58, them)):
-                append(Move(60, 58, castle=True))
+                yield Move(60, 58, castle=True)
 
-    p._legal = moves
-    return moves
+
+def legal_moves(p: Position) -> list[Move]:
+    """Complete legal move list; empty iff checkmate or stalemate. Memoized."""
+    if p._legal is None:
+        p._legal = list(_generate(p))
+    return p._legal
+
+
+def has_legal_move(p: Position) -> bool:
+    """Whether p has a legal move; stops at the first one generated."""
+    if p._legal is not None:
+        return bool(p._legal)
+    return next(_generate(p), None) is not None
 
 
 def _legal_key_map(p: Position) -> dict[int, Move]:

@@ -27,6 +27,10 @@ class TruncatedFile(DimensionMismatch):
     """Truncation surfaces as a structural mismatch, per the file contract."""
 
 
+class NonFiniteValues(ValueError):
+    """A stored number is NaN or infinite."""
+
+
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     data = f.read(n)
     if len(data) != n:

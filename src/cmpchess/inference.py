@@ -59,7 +59,8 @@ class FeatureCache:
     without copying.
     """
 
-    __slots__ = ("capacity", "slots", "hits", "misses", "evictions")
+    __slots__ = ("capacity", "slots", "hits", "misses", "evictions",
+                 "_filled")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -69,6 +70,7 @@ class FeatureCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._filled = 0  # occupied slots, so len() needs no scan
 
     # A slot holds the key plus a ~100-float32 vector; 600 bytes covers
     # the array, the tuple, and list-slot overhead well enough for a
@@ -80,7 +82,7 @@ class FeatureCache:
         return cls(max(1, int(megabytes * (1 << 20) / cls.BYTES_PER_SLOT)))
 
     def __len__(self) -> int:
-        return sum(1 for s in self.slots if s is not None)
+        return self._filled
 
     def get(self, key: int) -> Optional[np.ndarray]:
         entry = self.slots[key % self.capacity]
@@ -93,7 +95,9 @@ class FeatureCache:
     def put(self, key: int, vector: np.ndarray) -> None:
         i = key % self.capacity
         old = self.slots[i]
-        if old is not None and old[0] != key:
+        if old is None:
+            self._filled += 1
+        elif old[0] != key:
             self.evictions += 1
         vector.setflags(write=False)
         self.slots[i] = (key, vector)
@@ -173,15 +177,15 @@ class LearnedComparator:
 CELL_VALUES = (0, 1, 3, 3, 5, 9, 0)
 
 
+# Signed per-cell tables are indexed by the board cell itself, -6..6: a
+# black cell counts from the end of the 13-entry tuple, as Python
+# indexing does, so a board maps through one in a single C-level pass.
+_CELL_MATERIAL = CELL_VALUES + tuple(-v for v in reversed(CELL_VALUES[1:]))
+
+
 def material_balance(p: Position) -> int:
     """Piece-value sum, White minus Black (pawn=1, N=B=3, R=5, Q=9)."""
-    total = 0
-    for cell in p.board:
-        if cell > 0:
-            total += CELL_VALUES[cell]
-        elif cell < 0:
-            total -= CELL_VALUES[-cell]
-    return total
+    return sum(map(_CELL_MATERIAL.__getitem__, p.board))
 
 
 def _piece_activity(kind: int, sq: int, white: bool) -> int:
@@ -199,6 +203,15 @@ def _piece_activity(kind: int, sq: int, white: bool) -> int:
     return 2 * score + ((kind * 64 + sq) * 2654435761 >> 12 & 1)
 
 
+# _SQUARE_ACTIVITY[sq][cell]: the signed activity term of `cell` on `sq`
+# (0 for an empty square), indexed like _CELL_MATERIAL
+_SQUARE_ACTIVITY = tuple(
+    (0,) + tuple(_piece_activity(kind, sq, True) for kind in range(1, 7))
+    + tuple(-_piece_activity(kind, sq, False) for kind in range(6, 0, -1))
+    for sq in range(64)
+)
+
+
 def baseline_eval(p: Position) -> int:
     """Integer White-perspective score: material plus a small tiebreak.
 
@@ -210,15 +223,8 @@ def baseline_eval(p: Position) -> int:
     making progress in won positions instead of shuffling into
     repetition draws it cannot see.
     """
-    material = 0
-    activity = 0
-    for sq, cell in enumerate(p.board):
-        if cell > 0:
-            material += CELL_VALUES[cell]
-            activity += _piece_activity(cell, sq, True)
-        elif cell < 0:
-            material -= CELL_VALUES[-cell]
-            activity -= _piece_activity(-cell, sq, False)
+    material = material_balance(p)
+    activity = sum(map(tuple.__getitem__, _SQUARE_ACTIVITY, p.board))
     if material:
         strong = Color.WHITE if material > 0 else Color.BLACK
         weak_king = p.king_square(Color(1 - strong))

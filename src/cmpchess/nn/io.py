@@ -4,7 +4,8 @@ Header: magic, u16 version, u16 flags (must be zero; bit 0 is the
 byte-order marker, so a file written on a big-endian system is rejected
 as a version mismatch), u16 layer count. Per layer: u32 in_dim, u32
 out_dim, u8 activation (0 relu, 1 linear, 2 softmax2), then float32
-weights row-major (out x in) and float32 biases.
+weights row-major (out x in) and float32 biases. A NaN or infinite
+weight or bias is refused at load time, naming its layer.
 
 A Siamese network is stored as extractor layers followed by head layers;
 the head boundary is recovered from the dimension chain (the head's
@@ -18,7 +19,7 @@ import struct
 import numpy as np
 
 from ..fileformat import (
-    BadMagic, DimensionMismatch, TruncatedFile, VersionMismatch, read_exact,
+    BadMagic, DimensionMismatch, NonFiniteValues, VersionMismatch, read_exact,
 )
 from .layers import DenseLayer, LINEAR, RELU, SOFTMAX2
 from .model import FeatureExtractor, SiameseNetwork
@@ -63,6 +64,8 @@ def _read_layers(path) -> list:
                               dtype="<f4").reshape(out_dim, in_dim).copy()
             b = np.frombuffer(read_exact(f, 4 * out_dim, f"layer {i} bias"),
                               dtype="<f4").copy()
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise NonFiniteValues(f"layer {i}: NaN or infinite weight or bias")
             try:
                 layers.append(DenseLayer(w, b, _ACT_NAMES[act]))
             except ValueError as err:

@@ -32,7 +32,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .board import Color, Move, Position, apply_move, legal_moves
+from .board import (
+    Color, Move, Position, apply_move, has_legal_move, legal_moves,
+)
 from .inference import CELL_VALUES, Ordering
 
 MIN_SENTINEL = 0
@@ -166,14 +168,22 @@ class SearchLimits:
             raise ValueError("soft_time must not exceed hard_time")
 
 
-def clock_limits(remaining: float, max_depth: int) -> SearchLimits:
-    """Per-move budget from the mover's remaining clock, in seconds.
+def clock_limits(remaining: float, max_depth: int,
+                 increment: float = 0.0) -> SearchLimits:
+    """Per-move budget from the mover's remaining clock and increment,
+    in seconds.
 
-    Soft limit = remaining/30, hard limit = twice that. A clock at or
-    below zero counts as one millisecond, so the budget stays positive.
+    Soft limit = remaining/30 + increment/2, hard limit = twice that but
+    at most half the remaining clock; the soft limit never exceeds the
+    hard one. A clock at or below zero counts as one millisecond, so the
+    budget stays positive. Without an increment the hard limit is
+    exactly twice the soft one.
     """
-    soft = max(remaining, 0.001) / 30.0
-    return SearchLimits(max_depth=max_depth, soft_time=soft, hard_time=2 * soft)
+    remaining = max(remaining, 0.001)
+    soft = remaining / 30.0 + increment / 2.0
+    hard = min(2 * soft, remaining / 2.0)
+    return SearchLimits(max_depth=max_depth, soft_time=min(soft, hard),
+                        hard_time=hard)
 
 
 @dataclass
@@ -234,11 +244,11 @@ def _ab(p: Position, depth: int, alpha: Bound, beta: Bound, cmp,
         stats: SearchStats, ply: int, prev_best: Optional[Move]):
     """Fail-soft negamax core. Returns (bound, move, principal line)."""
     stats.tick()
+    if depth == 0 and has_legal_move(p):  # a leaf needs one move, not all
+        return Bound.pos(p), None, []
     moves = legal_moves(p)
     if not moves:  # terminal outranks the depth horizon
         return (Bound.loss(ply) if p.is_check() else Bound.draw()), None, []
-    if depth == 0:
-        return Bound.pos(p), None, []
 
     side = p.side_to_move
     best = Bound.min_sentinel()

@@ -109,16 +109,19 @@ def _parse_go_limits(tokens, p: Position, default_depth: int) -> SearchLimits:
         args[name] = None
         i += 1
 
-    if args.get("depth"):
+    # a limit counts when it is given with a number, zero included
+    if args.get("depth") is not None:
         return SearchLimits(max_depth=max(1, args["depth"]))
-    if args.get("movetime"):
+    if args.get("movetime") is not None:
         # hold back 20% for the abort check and the reply itself
         budget = args["movetime"] / 1000.0 * 0.8
         return SearchLimits(max_depth=default_depth,
                             soft_time=budget, hard_time=budget)
-    clock = "wtime" if p.side_to_move == Color.WHITE else "btime"
-    if args.get(clock):
-        return clock_limits(args[clock] / 1000.0, default_depth)
+    clock, inc = (("wtime", "winc") if p.side_to_move == Color.WHITE
+                  else ("btime", "binc"))
+    if args.get(clock) is not None:
+        return clock_limits(args[clock] / 1000.0, default_depth,
+                            (args.get(inc) or 0) / 1000.0)
     # bare "go": think for about a second
     return SearchLimits(max_depth=default_depth, soft_time=1.0,
                         hard_time=2.0)

@@ -127,6 +127,19 @@ class TestFeatureCache:
         with pytest.raises(ValueError):
             FeatureCache(0)
 
+    def test_len_counts_occupied_slots(self):
+        cache = FeatureCache(7)
+        rng = np.random.default_rng(3)
+        keys = [int(k) for k in rng.integers(0, 1 << 62, size=40)]
+        # repeats overwrite in place; key + 7 collides with key
+        keys += keys[:5] + [k + 7 for k in keys[5:12]]
+        for key in keys:
+            cache.put(key, np.zeros(3, dtype=np.float32))
+            occupied = sum(slot is not None for slot in cache.slots)
+            assert len(cache) == occupied
+            assert cache.stats()["size"] == occupied
+        assert len(cache) == cache.capacity
+
     def test_stats_dict(self):
         cache = FeatureCache(2)
         assert cache.get(5) is None

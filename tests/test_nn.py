@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cmpchess.fileformat import BadMagic, DimensionMismatch, VersionMismatch
+from cmpchess.fileformat import (
+    BadMagic, DimensionMismatch, NonFiniteValues, VersionMismatch,
+)
 from cmpchess.nn import (
     AutoEncoder, DenseLayer, FeatureExtractor, NonFiniteLoss, SiameseNetwork,
     forward, forward_pairs, init_siamese, load_extractor, load_model,
@@ -237,3 +239,19 @@ class TestModelFile:
         save_extractor(ext, path)
         with pytest.raises(DimensionMismatch):
             load_model(path)  # unbroken chain: no head boundary
+
+    @pytest.mark.parametrize("layer, part, value", [
+        (0, "weights", np.nan), (1, "bias", np.inf), (2, "weights", -np.inf)])
+    def test_non_finite_value_rejected_by_layer(self, tmp_path, layer, part,
+                                                value):
+        net = init_siamese((9, 4, 3), (6, 2), seed=0)
+        getattr((list(net.extractor.layers) + list(net.head))[layer],
+                part).flat[1] = value
+        path = tmp_path / "net.dchs"
+        save_model(net, path)
+        with pytest.raises(NonFiniteValues, match=f"layer {layer}"):
+            load_model(path)
+        save_extractor(net.extractor, path)
+        if layer < len(net.extractor.layers):
+            with pytest.raises(NonFiniteValues, match=f"layer {layer}"):
+                load_extractor(path)

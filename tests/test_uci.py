@@ -4,11 +4,15 @@ import io
 import random
 import time
 
+import numpy as np
 import pytest
 
-from cmpchess.board import Move, apply_move, legal_moves, startpos
+from cmpchess.board import Move, apply_move, legal_moves, parse_fen, \
+    startpos
+from cmpchess.nn import init_siamese, save_model
+from cmpchess.search import clock_limits
 from cmpchess.uci import EngineConfig, _Session, _handle_position, \
-    build_comparator, engine_label, uci_loop
+    _parse_go_limits, build_comparator, engine_label, uci_loop
 
 
 def run_lines(lines, cfg=None):
@@ -103,7 +107,7 @@ class TestPositionAndGo:
                          "quit"])
         took = time.monotonic() - began
         assert len(bestmoves(out)) == 1
-        assert took < 1.0  # soft limit is 3000/30 = 100 ms
+        assert took < 1.0  # soft limit is 3000/30 + 100/2 = 150 ms
 
     def test_negative_clock_still_answers(self):
         # an overdrawn clock gets the smallest budget, not an error
@@ -112,6 +116,53 @@ class TestPositionAndGo:
         assert not any("go failed" in line for line in out)
         (bm,) = bestmoves(out)
         assert Move.from_uci(bm) in legal_moves(startpos())
+
+
+def go_limits(command, p=None, default_depth=64):
+    return _parse_go_limits(command.split()[1:], p or startpos(),
+                            default_depth)
+
+
+class TestGoLimits:
+    def test_depth_zero_clamps_to_one(self):
+        limits = go_limits("go depth 0")
+        assert limits.max_depth == 1
+        assert limits.soft_time is None and limits.hard_time is None
+
+    def test_depth_zero_searches_one_ply(self):
+        out = run_lines(["position startpos", "go depth 0", "quit"])
+        assert any(line.startswith("info depth 1 ") for line in out)
+        (bm,) = bestmoves(out)
+        assert Move.from_uci(bm) in legal_moves(startpos())
+
+    def test_movetime_zero_is_the_smallest_budget(self):
+        limits = go_limits("go movetime 0")
+        assert limits.soft_time == limits.hard_time == 0.0
+
+    def test_zero_clock_goes_through_clock_limits(self):
+        assert go_limits("go wtime 0 btime 0") == clock_limits(0.0, 64)
+        assert go_limits("go wtime 0 btime 0").hard_time < 0.001
+
+    def test_increment_raises_soft_time(self):
+        plain = go_limits("go wtime 3000 btime 3000")
+        with_inc = go_limits("go wtime 3000 btime 3000 winc 100000 "
+                             "binc 100000")
+        assert with_inc.soft_time > plain.soft_time
+        assert with_inc.hard_time <= 1.5
+        assert with_inc.soft_time <= with_inc.hard_time
+
+    def test_black_reads_its_own_clock_and_increment(self):
+        black = parse_fen("rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR "
+                          "b KQkq e3 0 1")
+        limits = go_limits("go wtime 1 btime 3000 winc 0 binc 600", black)
+        assert limits == clock_limits(3.0, 64, 0.6)
+        assert limits.soft_time == pytest.approx(0.1 + 0.3)
+
+    def test_no_increment_keeps_the_old_budget(self):
+        for remaining in (-1.0, 0.0, 0.5, 3.0, 60.0):
+            soft = max(remaining, 0.001) / 30.0
+            limits = clock_limits(remaining, 64)
+            assert (limits.soft_time, limits.hard_time) == (soft, 2 * soft)
 
 
 class TestSetOption:
@@ -131,6 +182,19 @@ class TestSetOption:
                          "quit"])
         assert "readyok" in out
         assert any("falling back" in l for l in out)
+        (bm,) = bestmoves(out)
+        assert Move.from_uci(bm) in legal_moves(startpos())
+
+    def test_nan_model_falls_back_to_material(self, tmp_path):
+        net = init_siamese((773, 8, 4), (8, 2), seed=0)
+        net.extractor.layers[1].weights[0, 0] = np.nan
+        path = tmp_path / "nan.dchs"
+        save_model(net, path)
+        out = run_lines([f"setoption name ModelPath value {path}",
+                         "isready", "position startpos", "go depth 1",
+                         "quit"])
+        (diag,) = [line for line in out if "falling back" in line]
+        assert diag.startswith("info string") and "layer 1" in diag
         (bm,) = bestmoves(out)
         assert Move.from_uci(bm) in legal_moves(startpos())
 
