@@ -312,10 +312,14 @@ def _playouts(n: int, seed: int, min_ply: int = 8, max_ply: int = 60) -> list:
     return out
 
 
+# distinct position pairs `bench` times comparator calls over
+BENCH_PAIRS = 1000
+
+
 def cmd_bench(args) -> int:
     cfg = engine_config_from(load_config(args.config),
                              overrides=_engine_args(args))
-    positions = _playouts(200, args.seed)
+    positions = _playouts(2 * BENCH_PAIRS, args.seed)
     pairs = list(zip(positions[::2], positions[1::2]))
 
     def classify(comparator, label):
@@ -350,12 +354,15 @@ def cmd_bench(args) -> int:
     comparator = build_comparator(cfg)
     counts = []
     for run in range(2):
+        calls_before = comparator.calls
         began = time.perf_counter()
         result = search_root(startpos(), limits, comparator)
         took = time.perf_counter() - began
+        calls = comparator.calls - calls_before
         counts.append(result.nodes)
         print(f"search run {run + 1}: depth {result.depth_reached}, "
               f"{result.nodes} nodes, {result.nodes / took:,.0f} nodes/sec, "
+              f"{calls / result.nodes:.2f} comparator calls/node, "
               f"{result.cache_hits} cache hits")
     print("deterministic node counts: "
           + ("yes" if counts[0] == counts[1] else "NO"))

@@ -7,12 +7,15 @@ by the position's Zobrist hash, and the pairwise comparison operations
 the search tree is built on.
 
 All comparisons here are from White's perspective; callers acting for
-Black invert the result. An exact softmax tie resolves to SecondBetter
-so that every comparison is decided and search stays deterministic.
+Black invert the result. The verdict is read from the head's two output
+logits, which the softmax only rescales; an exact logit tie resolves to
+SecondBetter so that every comparison is decided and search stays
+deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
@@ -136,14 +139,19 @@ def features_of(p: Position, net, cache: Optional[FeatureCache] = None
 def compare(net, fa: np.ndarray, fb: np.ndarray) -> tuple:
     """Order two feature vectors with the comparison head.
 
-    Returns (ordering, confidence) where confidence is the winning
-    softmax component. An exact tie is SecondBetter by convention.
+    Returns (ordering, confidence). FirstBetter iff the first output
+    logit exceeds the second; an exact tie is SecondBetter by convention.
+    The confidence is the winning 2-way softmax component,
+    1 / (1 + exp(-|z0 - z1|)), so no softmax is computed.
     """
     head = getattr(net, "head", net)
-    probs, _ = stack_forward(head, np.concatenate([fa, fb]))
-    if probs[0] > probs[1]:
-        return Ordering.FIRST_BETTER, float(probs[0])
-    return Ordering.SECOND_BETTER, float(probs[1])
+    x, _ = stack_forward(head[:-1], np.concatenate([fa, fb]))
+    last = head[-1]
+    z0, z1 = (x @ last.weights.T + last.bias).tolist()
+    confidence = 1.0 / (1.0 + math.exp(-abs(z0 - z1)))
+    if z0 > z1:
+        return Ordering.FIRST_BETTER, confidence
+    return Ordering.SECOND_BETTER, confidence
 
 
 def compare_white_perspective(net: SiameseNetwork, pa: Position, pb: Position,
@@ -238,6 +246,11 @@ def baseline_eval(p: Position) -> int:
     return 256 * material + activity
 
 
+# Scored positions a MaterialComparator keeps before it starts its memo
+# afresh; a long UCI session reuses one comparator for many searches.
+_SCORES_LIMIT = 1 << 16
+
+
 class MaterialComparator:
     """Orders positions by material, activity breaking ties.
 
@@ -253,6 +266,8 @@ class MaterialComparator:
     def _score(self, p: Position) -> int:
         s = self._scores.get(p.zobrist)
         if s is None:
+            if len(self._scores) >= _SCORES_LIMIT:
+                self._scores.clear()
             s = self._scores[p.zobrist] = baseline_eval(p)
         return s
 

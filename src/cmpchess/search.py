@@ -259,9 +259,16 @@ def _ab(p: Position, depth: int, alpha: Bound, beta: Bound, cmp,
         v, _, child_line = _ab(child, depth - 1, negate(beta), negate(alpha),
                                cmp, stats, ply + 1, None)
         v = negate(v)
-        if bound_compare(v, best, cmp, side) is Ordering.FIRST_BETTER:
+        above_best = (bound_compare(v, best, cmp, side)
+                      is Ordering.FIRST_BETTER)
+        # Once alpha has been raised to best itself, (v, alpha) is the
+        # question just asked; the verdict holds for any deterministic
+        # comparator, intransitive ones too.
+        above_alpha = above_best if alpha is best else (
+            bound_compare(v, alpha, cmp, side) is Ordering.FIRST_BETTER)
+        if above_best:
             best, best_move, best_line = v, m, [m] + child_line
-        if bound_compare(v, alpha, cmp, side) is Ordering.FIRST_BETTER:
+        if above_alpha:
             alpha = v
         if bound_compare(beta, v, cmp, side) is not Ordering.FIRST_BETTER:
             stats.cutoffs += 1  # v meets or exceeds beta

@@ -1,14 +1,19 @@
 """CLI surface: config parsing, subcommand wiring, exit codes."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 
+from cmpchess.board import startpos
 from cmpchess.cli import (
-    UsageError, engine_config_from, load_config, main, parse_config_text,
+    BENCH_PAIRS, UsageError, engine_config_from, load_config, main,
+    parse_config_text,
 )
+from cmpchess.inference import MaterialComparator
 from cmpchess.match import MatchSpec, run_match
+from cmpchess.search import SearchLimits, search_root
 from cmpchess.uci import EngineConfig
 
 
@@ -186,6 +191,12 @@ class TestOperation:
         out = capsys.readouterr().out
         assert "deterministic node counts: yes" in out
         assert "calls/sec" in out
+        assert BENCH_PAIRS >= 1000
+        cmp = MaterialComparator()
+        result = search_root(startpos(), SearchLimits(max_depth=2), cmp)
+        per_node = re.findall(r"^search run \d: .* ([\d.]+) comparator "
+                              r"calls/node,", out, re.MULTILINE)
+        assert per_node == [f"{cmp.calls / result.nodes:.2f}"] * 2
 
     def test_audit_material_acyclic(self, capsys):
         assert main(["audit", "--comparator", "material",

@@ -13,6 +13,12 @@ from cmpchess.inference import (
 )
 from cmpchess.nn.layers import init_layer
 from cmpchess.nn.model import forward_pairs, init_siamese
+from cmpchess.nn.train import (
+    STUDENT_EXTRACTOR_DIMS, STUDENT_HEAD_SIZES, TEACHER_EXTRACTOR_DIMS,
+    TEACHER_HEAD_SIZES,
+)
+
+from corpus import playout_positions as corpus_positions
 
 
 def small_net(seed=0, dtype=np.float32):
@@ -174,6 +180,42 @@ class TestCompare:
         ordering, conf = compare(net, fa, fa)
         assert ordering is Ordering.SECOND_BETTER
         assert conf == 0.5
+
+    def test_zeroed_head_is_second_better_through_comparator(self):
+        net = small_net(seed=12)
+        for layer in net.head:
+            layer.weights[:] = 0
+            layer.bias[:] = 0
+        cmp = LearnedComparator(net, FeatureCache(16))
+        p = startpos()
+        q = apply_move(p, Move.from_uci("e2e4"))
+        assert cmp(p, q) is Ordering.SECOND_BETTER
+        assert cmp(q, p) is Ordering.SECOND_BETTER
+
+    @pytest.mark.parametrize("dims, head_sizes", [
+        (TEACHER_EXTRACTOR_DIMS, TEACHER_HEAD_SIZES),
+        (STUDENT_EXTRACTOR_DIMS, STUDENT_HEAD_SIZES),
+    ], ids=["teacher", "student"])
+    def test_logit_verdict_matches_batched_softmax(self, dims, head_sizes):
+        """The logit-decided verdict and its confidence against the dense
+        batched softmax forward pass, on distinct corpus pairs."""
+        net = init_siamese(dims, head_sizes, seed=21)
+        ps = corpus_positions(2400, seed=31)
+        pairs = list({(a.zobrist, b.zobrist): (a, b)
+                      for a, b in zip(ps, ps[1:])
+                      if a.zobrist != b.zobrist}.values())
+        assert len(pairs) >= 2000
+        probs = forward_pairs(
+            net, np.stack([encode(a) for a, _ in pairs]).astype(np.float32),
+            np.stack([encode(b) for _, b in pairs]).astype(np.float32))
+        cache = FeatureCache(8192)
+        for (a, b), row in zip(pairs, probs):
+            expected = (Ordering.FIRST_BETTER if row[0] > row[1]
+                        else Ordering.SECOND_BETTER)
+            assert compare_white_perspective(net, a, b, cache) is expected
+            _, conf = compare(net, features_of(a, net, cache),
+                              features_of(b, net, cache))
+            assert conf == pytest.approx(float(row.max()), abs=1e-5)
 
     def test_identical_arguments_stable(self):
         net = small_net(seed=13)

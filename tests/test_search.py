@@ -3,18 +3,18 @@ and the iterative-deepening driver."""
 
 import pytest
 
-from cmpchess.board import Color, Move, apply_move, legal_moves, parse_fen, \
-    startpos
+from cmpchess.board import Color, Move, apply_move, has_legal_move, \
+    legal_moves, parse_fen, startpos
 from cmpchess.inference import (
     FeatureCache, LearnedComparator, MaterialComparator, Ordering,
-    baseline_eval, material_balance,
+    RandomComparator, baseline_eval, material_balance,
 )
 from cmpchess.nn.model import init_siamese
 from cmpchess.search import (
     Bound, MAX_SENTINEL, MIN_SENTINEL, NoLegalMoves, POSITION, SearchLimits,
-    SearchResult, TERMINAL_DRAW, TERMINAL_DRAW_GIVEN, TERMINAL_LOSS,
-    TERMINAL_WIN, alphabeta_cmp, bound_compare, negate, order_moves,
-    search_root,
+    SearchResult, SearchStats, TERMINAL_DRAW, TERMINAL_DRAW_GIVEN,
+    TERMINAL_LOSS, TERMINAL_WIN, _ab, alphabeta_cmp, bound_compare, negate,
+    order_moves, search_root,
 )
 
 from oracles import (
@@ -285,3 +285,75 @@ class TestSearchRoot:
         assert res.best_move in legal_moves(startpos())
         assert res.cache_hits > 0
         assert res.cache_hits <= cache.hits
+
+
+def two_question_ab(p, depth, alpha, beta, cmp, stats, ply, prev_best):
+    """The `_ab` loop that asked (v, best) and then (v, alpha) for every
+    child, kept as the reference for the one-question loop."""
+    stats.tick()
+    if depth == 0 and has_legal_move(p):
+        return Bound.pos(p), None, []
+    moves = legal_moves(p)
+    if not moves:
+        return (Bound.loss(ply) if p.is_check() else Bound.draw()), None, []
+    side = p.side_to_move
+    best = Bound.min_sentinel()
+    best_move = None
+    best_line: list = []
+    for m in order_moves(p, moves, prev_best):
+        child = apply_move(p, m)
+        v, _, child_line = two_question_ab(child, depth - 1, negate(beta),
+                                           negate(alpha), cmp, stats,
+                                           ply + 1, None)
+        v = negate(v)
+        if bound_compare(v, best, cmp, side) is Ordering.FIRST_BETTER:
+            best, best_move, best_line = v, m, [m] + child_line
+        if bound_compare(v, alpha, cmp, side) is Ordering.FIRST_BETTER:
+            alpha = v
+        if bound_compare(beta, v, cmp, side) is not Ordering.FIRST_BETTER:
+            stats.cutoffs += 1
+            break
+    return best, best_move, best_line
+
+
+class TestOneQuestionWhenAlphaIsBest:
+    """`_ab` skips the (v, alpha) question while alpha is best; every
+    result must equal the two-question loop's, with fewer calls."""
+
+    COMPARATORS = {
+        "material": MaterialComparator,
+        # intransitive: alpha can rise without best, so alpha is not best
+        "random": lambda: RandomComparator(seed=7),
+        "learned": lambda: LearnedComparator(
+            init_siamese((773, 32, 16), (12, 2), seed=5), FeatureCache(4096)),
+    }
+
+    # A full-window depth-3 search only lets alpha part from best at
+    # ply 2, whose children are leaves that ignore it; a root alpha at the
+    # root position makes alpha matter at every ply.
+    WINDOWS = {
+        "full": lambda p: (Bound.min_sentinel(), Bound.max_sentinel()),
+        "alpha-at-root": lambda p: (Bound.pos(p), Bound.max_sentinel()),
+    }
+
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("kind", sorted(COMPARATORS))
+    def test_same_search_fewer_calls(self, kind, window, playout_positions):
+        ps = [q for q in playout_positions[::25] if legal_moves(q)]
+        assert len(ps) >= 50
+        fewer = 0
+        for p in ps:
+            runs = []
+            for core in (two_question_ab, _ab):
+                cmp = self.COMPARATORS[kind]()
+                stats = SearchStats()
+                alpha, beta = self.WINDOWS[window](p)
+                bound, move, line = core(p, 3, alpha, beta, cmp, stats, 0,
+                                         None)
+                runs.append(((bound, move, line, stats.nodes, stats.cutoffs),
+                             cmp.calls))
+            (want, old_calls), (got, new_calls) = runs
+            assert got == want, p
+            assert new_calls <= old_calls, p
+            fewer += new_calls < old_calls
+        assert fewer > 0

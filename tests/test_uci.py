@@ -7,8 +7,10 @@ import time
 import numpy as np
 import pytest
 
+from cmpchess import inference, uci
 from cmpchess.board import Move, apply_move, legal_moves, parse_fen, \
     startpos
+from cmpchess.inference import MaterialComparator
 from cmpchess.nn import init_siamese, save_model
 from cmpchess.search import clock_limits
 from cmpchess.uci import EngineConfig, _Session, _handle_position, \
@@ -116,6 +118,39 @@ class TestPositionAndGo:
         assert not any("go failed" in line for line in out)
         (bm,) = bestmoves(out)
         assert Move.from_uci(bm) in legal_moves(startpos())
+
+
+class TestMaterialScoreMemo:
+    """One session keeps one MaterialComparator across searches; its
+    score memo is cleared at a fixed size instead of growing."""
+
+    LINES = ["position startpos", "go depth 3",
+             "position startpos moves e2e4 e7e5", "go depth 3",
+             "position startpos moves e2e4 e7e5 g1f3 b8c6", "go depth 3",
+             "position startpos moves d2d4 d7d5 c2c4", "go depth 3", "quit"]
+
+    def session(self, monkeypatch):
+        sizes = []
+
+        class Watched(MaterialComparator):
+            def _score(self, p):
+                score = super()._score(p)
+                sizes.append(len(self._scores))
+                return score
+
+        monkeypatch.setattr(uci, "build_comparator", lambda cfg: Watched())
+        return bestmoves(run_lines(self.LINES)), sizes
+
+    def test_memo_bounded_and_best_moves_unchanged(self, monkeypatch):
+        moves, sizes = self.session(monkeypatch)
+        assert max(sizes) < inference._SCORES_LIMIT  # never cleared
+        limit = max(sizes) // 4
+        monkeypatch.setattr(inference, "_SCORES_LIMIT", limit)
+        bounded_moves, bounded_sizes = self.session(monkeypatch)
+        assert len(bounded_moves) == 4
+        assert bounded_moves == moves
+        assert max(bounded_sizes) <= limit
+        assert bounded_sizes.count(1) >= 4  # cleared, then refilled
 
 
 def go_limits(command, p=None, default_depth=64):
