@@ -20,7 +20,7 @@ class Color(IntEnum):
 
     @property
     def other(self) -> "Color":
-        return Color(1 - self)
+        return _OTHER_COLOR[self]
 
 
 class PieceType(IntEnum):
@@ -40,6 +40,7 @@ class GameOutcome(IntEnum):
 
 
 WHITE, BLACK = Color.WHITE, Color.BLACK
+_OTHER_COLOR = (BLACK, WHITE)  # indexed by Color, so `other` builds nothing
 PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING = (
     PieceType.PAWN, PieceType.KNIGHT, PieceType.BISHOP,
     PieceType.ROOK, PieceType.QUEEN, PieceType.KING,
@@ -278,14 +279,9 @@ class Position:
                         if zobrist is None else zobrist)
         self._legal = None
         self._legal_keys = None
-        kw = kb = -1
-        for sq in range(64):
-            cell = board[sq]
-            if cell == W_KING:
-                kw = sq
-            elif cell == B_KING:
-                kb = sq
-        self._kings = (kw, kb)
+        # parse_fen and make_move build boards with one king per colour
+        self._kings = (board.index(W_KING) if W_KING in board else -1,
+                       board.index(B_KING) if B_KING in board else -1)
 
     def king_square(self, color: Color) -> int:
         return self._kings[color]
@@ -665,12 +661,22 @@ _RIGHTS_LOST = {0: CASTLE_WQ, 7: CASTLE_WK, 56: CASTLE_BQ, 63: CASTLE_BK}
 
 
 def apply_move(p: Position, m: Move) -> Position:
-    """Successor position. Raises IllegalMove unless m is legal in p."""
+    """Successor position. Raises IllegalMove unless m is legal in p.
+
+    A bare (from, to, promotion) move, as parsed from UCI or PGN, is
+    resolved to the generated move carrying its castle, en passant and
+    double-push flags before it is played.
+    """
     canonical = find_legal(p, m)
     if canonical is None:
         raise IllegalMove(f"{m.uci()} is not legal in {to_fen(p)}")
-    m = canonical
+    return make_move(p, canonical)
 
+
+def make_move(p: Position, m: Move) -> Position:
+    """Successor position, unchecked: m must be an element of
+    `legal_moves(p)`, whose flags it trusts. Anything else goes through
+    `apply_move`."""
     board = list(p.board)
     us = p.side_to_move
     frm, to = m.from_sq, m.to_sq
@@ -734,7 +740,7 @@ def perft(p: Position, depth: int) -> int:
         return len(moves)
     total = 0
     for m in moves:
-        total += perft(apply_move(p, m), depth - 1)
+        total += perft(make_move(p, m), depth - 1)
     return total
 
 
@@ -744,5 +750,5 @@ def random_playout(p: Position, plies: int, rng: random.Random) -> Iterator[Posi
         moves = legal_moves(p)
         if not moves:
             return
-        p = apply_move(p, rng.choice(moves))
+        p = make_move(p, rng.choice(moves))
         yield p

@@ -17,9 +17,10 @@ import random
 import sys
 import time
 from dataclasses import fields
+from itertools import islice
 from typing import Optional
 
-from .board import GameOutcome, apply_move, legal_moves, parse_fen, startpos
+from .board import GameOutcome, parse_fen, perft, random_playout, startpos
 from .dataset import (
     InsufficientData, extract_positions, load_positions, save_positions,
     split,
@@ -299,16 +300,9 @@ def _playouts(n: int, seed: int, min_ply: int = 8, max_ply: int = 60) -> list:
     rng = random.Random(seed)
     out = []
     while len(out) < n:
-        p = startpos()
-        for ply in range(max_ply):
-            moves = legal_moves(p)
-            if not moves:
-                break
-            p = apply_move(p, rng.choice(moves))
-            if ply >= min_ply:
-                out.append(p)
-                if len(out) >= n:
-                    break
+        # islice stops before drawing a move past the last position kept
+        out.extend(islice(random_playout(startpos(), max_ply, rng),
+                          min_ply, min_ply + n - len(out)))
     return out
 
 
@@ -349,6 +343,12 @@ def cmd_bench(args) -> int:
         dense_t = time.perf_counter() - began
         print(f"sparse vs dense first layer: {dense_t / sparse_t:.1f}x "
               f"({first.in_dim}->{first.out_dim})")
+
+    began = time.perf_counter()
+    leaves = perft(startpos(), 3)
+    took = time.perf_counter() - began
+    print(f"perft 3 from startpos: {leaves} leaves, "
+          f"{leaves / took:,.0f} leaves/sec")
 
     limits = SearchLimits(max_depth=args.depth)
     comparator = build_comparator(cfg)

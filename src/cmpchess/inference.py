@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -193,7 +194,8 @@ _CELL_MATERIAL = CELL_VALUES + tuple(-v for v in reversed(CELL_VALUES[1:]))
 
 def material_balance(p: Position) -> int:
     """Piece-value sum, White minus Black (pawn=1, N=B=3, R=5, Q=9)."""
-    return sum(map(_CELL_MATERIAL.__getitem__, p.board))
+    board = p.board
+    return sum(map(_CELL_MATERIAL.__getitem__, compress(board, board)))
 
 
 def _piece_activity(kind: int, sq: int, white: bool) -> int:
@@ -231,11 +233,14 @@ def baseline_eval(p: Position) -> int:
     making progress in won positions instead of shuffling into
     repetition draws it cannot see.
     """
+    board = p.board
     material = material_balance(p)
-    activity = sum(map(tuple.__getitem__, _SQUARE_ACTIVITY, p.board))
+    # empty cells score 0 in both tables, so only occupied squares are read
+    activity = sum(map(tuple.__getitem__, compress(_SQUARE_ACTIVITY, board),
+                       compress(board, board)))
     if material:
         strong = Color.WHITE if material > 0 else Color.BLACK
-        weak_king = p.king_square(Color(1 - strong))
+        weak_king = p.king_square(strong.other)
         strong_king = p.king_square(strong)
         wr, wf = divmod(weak_king, 8)
         edge = max(abs(2 * wf - 7), abs(2 * wr - 7)) // 2

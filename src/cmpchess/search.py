@@ -32,9 +32,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .board import (
-    Color, Move, Position, apply_move, has_legal_move, legal_moves,
-)
+from .board import Color, Move, Position, has_legal_move, legal_moves
+# search plays only generated moves; the name keeps the bench span's hook
+from .board import make_move as apply_move
 from .inference import CELL_VALUES, Ordering
 
 MIN_SENTINEL = 0

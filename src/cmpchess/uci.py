@@ -14,6 +14,7 @@ land inside the caller's window.
 from __future__ import annotations
 
 import sys
+import time
 from dataclasses import dataclass, replace
 from typing import Optional, TextIO
 
@@ -192,9 +193,14 @@ def _handle_go(session: _Session, tokens: list) -> None:
     limits = _parse_go_limits(tokens, p, session.cfg.max_depth)
     cmp = session.ensure_comparator()
     try:
+        began = time.monotonic()
         result = search_root(p, limits, cmp)
+        ms = int((time.monotonic() - began) * 1000)
         best = result.best_move
-        session.say(f"info depth {result.depth_reached} nodes {result.nodes}")
+        session.say(f"info depth {result.depth_reached} "
+                    f"nodes {result.nodes} time {ms} "
+                    f"nps {result.nodes * 1000 // max(ms, 1)} "
+                    f"pv {' '.join(m.uci() for m in result.line)}")
     except Exception as exc:  # never fail to answer; fall back to any move
         session.diag(f"search failed ({exc}); playing first legal move")
         best = moves[0]

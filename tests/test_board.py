@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cmpchess.board import (
-    Color, Move, MalformedFEN, IllegalMove, Position,
+    BLACK, WHITE, Color, Move, MalformedFEN, IllegalMove, Position,
     parse_fen, to_fen, startpos, legal_moves, apply_move, perft,
     compute_zobrist, parse_square, square_name, STARTPOS_FEN,
 )
@@ -147,12 +147,28 @@ class TestApplyMove:
             apply_move(startpos(), Move.from_uci("e2e5"))
         with pytest.raises(IllegalMove):
             apply_move(startpos(), Move.from_uci("e7e5"))
+        for fen, uci in [
+            (STARTPOS_FEN, "e1g1"),  # castling through own pieces
+            (STARTPOS_FEN, "g1g3"),
+            ("4k3/8/8/8/8/8/8/4K2R w - - 0 1", "e1g1"),  # no castling right
+            ("8/4P3/8/8/8/8/k7/4K3 w - - 0 1", "e7e8"),  # no promotion piece
+            ("8/8/8/8/8/8/k3P3/4K3 w - - 0 1", "e2e3q"),  # not to rank 8
+            ("4k3/8/8/3pP3/8/8/8/4K3 w - - 0 1", "e5d6"),  # no ep square
+        ]:
+            with pytest.raises(IllegalMove):
+                apply_move(parse_fen(fen), Move.from_uci(uci))
 
     def test_positions_are_fresh_objects(self):
         p = startpos()
         p2 = apply_move(p, Move.from_uci("e2e4"))
         assert p is not p2
         assert p.board[parse_square("e2")] != 0  # original untouched
+
+
+class TestColor:
+    def test_other_is_the_opposite_member(self):
+        assert WHITE.other is BLACK
+        assert BLACK.other is WHITE
 
 
 class TestZobrist:

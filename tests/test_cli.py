@@ -1,15 +1,16 @@
 """CLI surface: config parsing, subcommand wiring, exit codes."""
 
 import io
+import random
 import re
 
 import numpy as np
 import pytest
 
-from cmpchess.board import startpos
+from cmpchess.board import apply_move, legal_moves, startpos, to_fen
 from cmpchess.cli import (
-    BENCH_PAIRS, UsageError, engine_config_from, load_config, main,
-    parse_config_text,
+    BENCH_PAIRS, UsageError, _playouts, engine_config_from, load_config,
+    main, parse_config_text,
 )
 from cmpchess.inference import MaterialComparator
 from cmpchess.match import MatchSpec, run_match
@@ -197,8 +198,35 @@ class TestOperation:
         per_node = re.findall(r"^search run \d: .* ([\d.]+) comparator "
                               r"calls/node,", out, re.MULTILINE)
         assert per_node == [f"{cmp.calls / result.nodes:.2f}"] * 2
+        assert re.search(r"^perft 3 from startpos: 8902 leaves, [\d,]+ "
+                         r"leaves/sec$", out, re.MULTILINE)
 
     def test_audit_material_acyclic(self, capsys):
         assert main(["audit", "--comparator", "material",
                      "--positions", "40", "--triples", "200"]) == 0
         assert "0 cycles in 200" in capsys.readouterr().out
+
+
+def loop_playouts(n, seed, min_ply=8, max_ply=60):
+    """The playout loop `_playouts` ran before it used `random_playout`."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        p = startpos()
+        for ply in range(max_ply):
+            moves = legal_moves(p)
+            if not moves:
+                break
+            p = apply_move(p, rng.choice(moves))
+            if ply >= min_ply:
+                out.append(p)
+                if len(out) >= n:
+                    break
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_playouts_draw_as_the_old_loop(seed):
+    got = [to_fen(p) for p in _playouts(300, seed)]
+    assert got == [to_fen(p) for p in loop_playouts(300, seed)]
+    assert len(got) == 300

@@ -1,21 +1,25 @@
-"""The cheap leaf paths against the slow paths they replace.
+"""The cheap node paths against the slow paths they replace.
 
 `has_legal_move` must agree with `bool(legal_moves(p))`, `legal_moves`
 must keep its move order, the table-driven `baseline_eval` must equal
-the per-square loop it replaced, and a search must count the same nodes
-and choose the same move whichever leaf check it uses.
+the per-square loop it replaced, the unchecked `make_move` must build
+what the validating `apply_move` builds, kings must sit where a board
+scan finds them, and a search must count the same nodes and choose the
+same move whichever leaf check or make it uses.
 """
 
 import pytest
 
 from cmpchess import board, search
 from cmpchess.board import (
-    Color, has_legal_move, legal_moves, parse_fen, to_fen,
+    B_KING, W_KING, Color, Move, apply_move, has_legal_move, legal_moves,
+    make_move, parse_fen, to_fen,
 )
 from cmpchess.inference import (
-    CELL_VALUES, MaterialComparator, _piece_activity, baseline_eval,
-    material_balance,
+    CELL_VALUES, FeatureCache, LearnedComparator, MaterialComparator,
+    RandomComparator, _piece_activity, baseline_eval, material_balance,
 )
+from cmpchess.nn import init_siamese
 from cmpchess.search import SearchLimits, search_root
 
 from corpus import playout_positions as corpus_positions
@@ -164,3 +168,112 @@ class TestSearchLeaves:
         else:
             want = search.Bound.draw()
         assert (bound, move) == (want, None)
+
+
+def state(p) -> tuple:
+    """Every field a make sets, the derived ones included."""
+    return (p.board, p.side_to_move, p.castling, p.en_passant,
+            p.halfmove_clock, p.fullmove_number, p.zobrist, p._kings)
+
+
+def scanned_king(p, color) -> int:
+    """The last matching square of a 64-square scan, as `Position` once
+    found its kings."""
+    cell = W_KING if color == Color.WHITE else B_KING
+    found = -1
+    for sq in range(64):
+        if p.board[sq] == cell:
+            found = sq
+    return found
+
+
+# (name, FEN, UCI line): each move is played and the kings checked after it
+KING_LINES = [
+    ("both sides castle short",
+     "r3k2r/pppppppp/8/8/8/8/PPPPPPPP/R3K2R w KQkq - 0 1", "e1g1 e8g8"),
+    ("both sides castle long",
+     "r3k2r/pppppppp/8/8/8/8/PPPPPPPP/R3K2R w KQkq - 0 1", "e1c1 e8c8"),
+    ("king walks", "4k3/8/8/8/8/8/8/4K3 w - - 0 1",
+     "e1d2 e8f7 d2c3 f7g6 c3b4 g6h5"),
+    ("kings capture", "4k3/4P3/8/8/8/8/3p4/4K3 w - - 0 1",
+     "e1d2 e8e7"),
+    ("promotions, then the new pieces are taken by kings",
+     "8/1P4k1/8/8/8/8/1p4K1/8 w - - 0 1", "b7b8q b2b1q g2h3 g7h7 b8b1"),
+    ("underpromotion captures next to the kings",
+     "2r1k3/1P6/8/8/8/8/6p1/4K2R b - - 0 1", "g2h1n b7c8r e8d7 c8c1"),
+]
+
+
+class TestMake:
+    def test_make_equals_apply_on_corpus(self, corpus):
+        for p in corpus:
+            for m in legal_moves(p):
+                assert state(make_move(p, m)) == state(apply_move(p, m)), \
+                    (to_fen(p), m.uci())
+
+    @pytest.mark.parametrize("fen, uci, flag", [
+        ("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1", "e1g1", "castle"),
+        ("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1", "e1c1", "castle"),
+        ("r3k2r/8/8/8/8/8/8/R3K2R b KQkq - 0 1", "e8g8", "castle"),
+        ("r3k2r/8/8/8/8/8/8/R3K2R b KQkq - 0 1", "e8c8", "castle"),
+        ("4k3/8/8/3pP3/8/8/8/4K3 w - d6 0 2", "e5d6", "en_passant"),
+        ("4k3/8/8/8/3Pp3/8/8/4K3 b - d3 0 1", "e4d3", "en_passant"),
+        (board.STARTPOS_FEN, "e2e4", "double_push"),
+        ("rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq e3 0 1",
+         "c7c5", "double_push"),
+    ])
+    def test_apply_gives_bare_move_its_generated_flags(self, fen, uci, flag):
+        p = parse_fen(fen)
+        bare = Move.from_uci(uci)
+        (generated,) = [m for m in legal_moves(p) if m == bare]
+        assert getattr(generated, flag) and not getattr(bare, flag)
+        assert state(apply_move(p, bare)) == state(make_move(p, generated))
+
+    def test_search_binds_the_unchecked_make(self):
+        assert search.apply_move is make_move
+
+    @pytest.mark.parametrize("kind", ["material", "random", "learned"])
+    def test_validating_make_gives_same_search(self, kind, corpus,
+                                               monkeypatch):
+        build = {
+            "material": MaterialComparator,
+            "random": lambda: RandomComparator(seed=11),
+            "learned": lambda: LearnedComparator(
+                init_siamese((773, 24, 12), (8, 2), seed=9),
+                FeatureCache(4096)),
+        }[kind]
+        positions = [p for p in corpus[7::173] if legal_moves(p)][:50]
+        assert len(positions) == 50
+        limits = SearchLimits(max_depth=3)
+
+        def run_all():
+            out = []
+            for p in positions:
+                cmp = build()
+                r = search_root(p, limits, cmp)
+                out.append((r.best_move, r.line, r.nodes, r.cutoffs,
+                            cmp.calls))
+            return out
+
+        fast = run_all()
+        monkeypatch.setattr(search, "apply_move", board.apply_move)
+        slow = run_all()
+        for p, f, s in zip(positions, fast, slow):
+            assert f == s, to_fen(p)
+
+
+class TestKings:
+    def test_king_square_matches_scan_on_corpus(self, corpus):
+        for p in corpus:
+            for color in (Color.WHITE, Color.BLACK):
+                assert p.king_square(color) == scanned_king(p, color), \
+                    to_fen(p)
+
+    @pytest.mark.parametrize("name, fen, line", KING_LINES,
+                             ids=[case[0] for case in KING_LINES])
+    def test_king_square_along_line(self, name, fen, line):
+        p = parse_fen(fen)
+        for uci in line.split():
+            p = apply_move(p, Move.from_uci(uci))  # raises on a bad line
+            for color in (Color.WHITE, Color.BLACK):
+                assert p.king_square(color) == scanned_king(p, color), uci

@@ -57,6 +57,25 @@ class TestPositionAndGo:
         (bm,) = bestmoves(out)
         assert Move.from_uci(bm) in legal_moves(p)
 
+    def test_info_line_reports_rate_and_line(self):
+        out = run_lines(["position startpos moves e2e4 e7e5",
+                         "go depth 3", "quit"])
+        (info,) = [line for line in out if line.startswith("info depth")]
+        fields = info.split()
+        assert fields[0] == "info"
+        assert fields[1:10:2] == ["depth", "nodes", "time", "nps", "pv"]
+        depth, nodes, ms, nps = (int(fields[i]) for i in (2, 4, 6, 8))
+        assert depth == 3 and nodes > 0 and ms >= 0
+        assert nps == nodes * 1000 // max(ms, 1)
+        pv = fields[10:]
+        assert 1 <= len(pv) <= depth
+        p = startpos()
+        for uci in ("e2e4", "e7e5"):
+            p = apply_move(p, Move.from_uci(uci))
+        for uci in pv:
+            p = apply_move(p, Move.from_uci(uci))  # raises if not legal
+        assert pv[0] == bestmoves(out)[0]
+
     def test_fen_position(self):
         fen = "k7/8/8/3q4/4P3/8/8/K7 w - - 0 1"
         out = run_lines([f"position fen {fen}", "go depth 1", "quit"])
