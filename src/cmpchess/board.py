@@ -160,8 +160,10 @@ def _zobrist_tables(seed: int = 0x5EC7A3B1D4E9F02C):
 ZOBRIST_PIECE, ZOBRIST_CASTLE, ZOBRIST_SIDE = _zobrist_tables()
 
 
-def _piece_key_index(cell: int) -> int:
-    # white pawn..king -> 0..5, black -> 6..11
+def piece_plane(cell: int) -> int:
+    """Plane of a nonzero board cell: white pawn..king 0..5, black 6..11.
+
+    Indexes the Zobrist piece keys and the encoding's piece planes."""
     return cell - 1 if cell > 0 else 5 - cell
 
 
@@ -171,7 +173,7 @@ def compute_zobrist(board, side_to_move: Color, castling: int) -> int:
     for sq in range(64):
         cell = board[sq]
         if cell:
-            z ^= ZOBRIST_PIECE[_piece_key_index(cell)][sq]
+            z ^= ZOBRIST_PIECE[piece_plane(cell)][sq]
     for bit in range(4):
         if castling & (1 << bit):
             z ^= ZOBRIST_CASTLE[bit]
@@ -682,15 +684,15 @@ def make_move(p: Position, m: Move) -> Position:
     frm, to = m.from_sq, m.to_sq
     pc = board[frm]
     z = p.zobrist ^ ZOBRIST_SIDE
-    z ^= ZOBRIST_PIECE[_piece_key_index(pc)][frm]
+    z ^= ZOBRIST_PIECE[piece_plane(pc)][frm]
 
     captured = board[to]
     if m.en_passant:
         cap_sq = to + (-8 if us == WHITE else 8)
-        z ^= ZOBRIST_PIECE[_piece_key_index(board[cap_sq])][cap_sq]
+        z ^= ZOBRIST_PIECE[piece_plane(board[cap_sq])][cap_sq]
         board[cap_sq] = 0
     elif captured:
-        z ^= ZOBRIST_PIECE[_piece_key_index(captured)][to]
+        z ^= ZOBRIST_PIECE[piece_plane(captured)][to]
 
     board[frm] = 0
     if m.promotion is not None:
@@ -698,14 +700,14 @@ def make_move(p: Position, m: Move) -> Position:
     else:
         new_pc = pc
     board[to] = new_pc
-    z ^= ZOBRIST_PIECE[_piece_key_index(new_pc)][to]
+    z ^= ZOBRIST_PIECE[piece_plane(new_pc)][to]
 
     if m.castle:
         r_from, r_to = _ROOK_HOPS[to]
         rook = board[r_from]
         board[r_from] = 0
         board[r_to] = rook
-        rk = _piece_key_index(rook)
+        rk = piece_plane(rook)
         z ^= ZOBRIST_PIECE[rk][r_from] ^ ZOBRIST_PIECE[rk][r_to]
 
     castling = p.castling

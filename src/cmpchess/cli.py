@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 engine failure.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -126,13 +127,12 @@ def _dims(text: str) -> tuple:
     return parsed
 
 
-def _train_config(args, epochs, lr, seed_shift=0) -> TrainConfig:
+def _train_config(args, epochs, lr) -> TrainConfig:
     try:
         return TrainConfig(initial_lr=lr, lr_decay_per_epoch=args.lr_decay,
                            epochs=epochs,
                            pairs_per_epoch=getattr(args, "pairs_per_epoch", 1),
-                           minibatch=args.minibatch,
-                           seed=args.seed + seed_shift)
+                           minibatch=args.minibatch, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -143,9 +143,11 @@ def cmd_extract(args) -> int:
     rng = random.Random(args.seed)
     kept = []
     games = decisive = 0
+    malformed = []  # (path, MalformedPGN) per skipped game
     for path in args.pgn:
         with open(path) as f:
-            for game in parse_pgn(f, on_malformed=lambda err: None):
+            for game in parse_pgn(
+                    f, on_malformed=lambda err: malformed.append((path, err))):
                 games += 1
                 if game.outcome not in (GameOutcome.WHITE_WINS,
                                         GameOutcome.BLACK_WINS):
@@ -162,8 +164,12 @@ def cmd_extract(args) -> int:
                     break
         if args.max_games and decisive >= args.max_games:
             break
+    if malformed:
+        path, err = malformed[0]
+        print(f"skipped malformed game in {path}: {err}", file=sys.stderr)
     count = save_positions(args.out, kept)
     print(f"read {games} games ({decisive} decisive), "
+          f"skipped {len(malformed)} malformed, "
           f"wrote {count} positions to {args.out}")
     return 0
 
@@ -257,8 +263,7 @@ def cmd_match(args) -> int:
                         for line in f if line.split("#", 1)[0].strip()]
     time_per_game = None
     if cfg.get("time_per_game"):
-        parts = [float(x) for x in cfg["time_per_game"].split(",")]
-        time_per_game = (parts[0], parts[-1])
+        time_per_game = _clock(cfg["time_per_game"])
     else:
         # without a clock every move searches to the engine's max_depth,
         # so an unset depth would never finish a move
@@ -293,6 +298,19 @@ def cmd_match(args) -> int:
             f.write(report.pgn)
         print(f"wrote PGN to {pgn_out}")
     return 0
+
+
+def _clock(text: str) -> tuple:
+    """`time_per_game`: seconds per side, one value for both or `a, b`."""
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
+    if not (1 <= len(parts) <= 2
+            and all(math.isfinite(x) and x > 0 for x in parts)):
+        raise UsageError(f"time_per_game = {text}: expected one or two "
+                         f"positive numbers of seconds")
+    return parts[0], parts[-1]
 
 
 def _playouts(n: int, seed: int, min_ply: int = 8, max_ply: int = 60) -> list:

@@ -54,24 +54,14 @@ class InsufficientData(ValueError):
 
 
 def eligible_plies(moves, start: Optional[Position] = None,
-                   opening_cutoff: int = 5, cutoff_unit: str = "fullmove"
-                   ) -> list[int]:
-    """Indices i such that the position before moves[i] passes the filters.
-
-    cutoff_unit selects how "the first `opening_cutoff` moves" is counted:
-    "fullmove" excludes positions with fullmove_number <= cutoff, "ply"
-    excludes the first `cutoff` plies of the game.
+                   opening_cutoff: int = 5) -> list[int]:
+    """Indices i such that the position before moves[i] passes the filters:
+    its fullmove number is past `opening_cutoff` and moves[i] is no capture.
     """
-    if cutoff_unit not in ("fullmove", "ply"):
-        raise ValueError(f"unknown cutoff unit {cutoff_unit!r}")
     p = start if start is not None else startpos()
     out = []
     for i, move in enumerate(moves):
-        if cutoff_unit == "fullmove":
-            deep_enough = p.fullmove_number > opening_cutoff
-        else:
-            deep_enough = i >= opening_cutoff
-        if deep_enough and not move.capture:
+        if p.fullmove_number > opening_cutoff and not move.capture:
             out.append(i)
         p = apply_move(p, move)
     return out
@@ -80,8 +70,7 @@ def eligible_plies(moves, start: Optional[Position] = None,
 def extract_positions(moves, outcome: GameOutcome, rng: random.Random,
                       k: int = 10, game_id: int = 0,
                       start: Optional[Position] = None,
-                      opening_cutoff: int = 5, cutoff_unit: str = "fullmove"
-                      ) -> list[LabeledPosition]:
+                      opening_cutoff: int = 5) -> list[LabeledPosition]:
     """Sample up to k labeled positions from one decisive game.
 
     Returns an empty list when no ply is eligible. Draws and unknown
@@ -89,7 +78,7 @@ def extract_positions(moves, outcome: GameOutcome, rng: random.Random,
     """
     if outcome not in (GameOutcome.WHITE_WINS, GameOutcome.BLACK_WINS):
         raise ValueError("only decisive games carry labels")
-    chosen = eligible_plies(moves, start, opening_cutoff, cutoff_unit)
+    chosen = eligible_plies(moves, start, opening_cutoff)
     if not chosen:
         return []
     if len(chosen) > k:

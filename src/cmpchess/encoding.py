@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .board import Color, Position
+from .board import Color, Position, piece_plane
 
 VECTOR_BITS = 773
 PACKED_BYTES = 97  # 773 bits zero-padded to 776, little bit order
@@ -24,17 +24,13 @@ class InconsistentVector(ValueError):
     pass
 
 
-def _plane(cell: int) -> int:
-    return cell - 1 if cell > 0 else 5 - cell
-
-
 def active_bits(p: Position) -> list[int]:
     """Sorted indices of the set bits of encode(p), without materializing it."""
     bits = []
     for sq in range(64):
         cell = p.board[sq]
         if cell:
-            bits.append(_plane(cell) * 64 + sq)
+            bits.append(piece_plane(cell) * 64 + sq)
     if p.side_to_move == Color.WHITE:
         bits.append(768)
     for i in range(4):

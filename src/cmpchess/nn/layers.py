@@ -1,15 +1,14 @@
 """Dense layers and the forward/backward primitives they share.
 
 Weights are (out_dim, in_dim); a batch forward is X @ W.T + b. The
-softmax2 activation is reserved for 2-way output layers and is always
-paired with cross-entropy at the loss site, so no standalone softmax
-derivative exists here.
+softmax2 activation is reserved for the 2-way output layer of a head and
+is always paired with cross-entropy at the loss site, so no standalone
+softmax derivative exists here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -96,28 +95,22 @@ def stack_forward(layers, x: np.ndarray):
     return a, cache
 
 
-def stack_backward(layers, cache, delta: np.ndarray, delta_is_dz: bool,
+def stack_backward(layers, cache, delta: np.ndarray,
                    need_input_grad: bool = False):
     """Backpropagate through a stack.
 
-    `delta` is the gradient at the stack output: with respect to the last
-    preactivation when `delta_is_dz` (combined softmax/cross-entropy), or
-    to the post-activation output otherwise. Returns ([(dW, db) per layer],
-    input gradient or None).
+    `delta` is the gradient at the stack output. A softmax2 output is
+    always paired with cross-entropy, so there `delta` is already the
+    gradient with respect to the preactivation; through relu and linear
+    layers it is the gradient with respect to the layer's output. Returns
+    ([(dW, db) per layer], input gradient or None).
     """
     grads: list = [None] * len(layers)
     da = delta
     for i in range(len(layers) - 1, -1, -1):
         a_in, z = cache[i]
         layer = layers[i]
-        if i == len(layers) - 1 and delta_is_dz:
-            dz = da
-        elif layer.activation == RELU:
-            dz = da * (z > 0)
-        elif layer.activation == LINEAR:
-            dz = da
-        else:
-            raise ValueError("softmax2 gradient must enter as dz")
+        dz = da * (z > 0) if layer.activation == RELU else da
         grads[i] = (dz.T @ a_in, dz.sum(axis=0))
         if i > 0 or need_input_grad:
             da = dz @ layer.weights

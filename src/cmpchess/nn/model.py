@@ -28,6 +28,9 @@ class FeatureExtractor:
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.in_dim != prev.out_dim:
                 raise ValueError(f"dimension chain broken: {prev} -> {nxt}")
+        for i, layer in enumerate(layers):
+            if layer.activation == SOFTMAX2:
+                raise ValueError(f"extractor layer {i} is softmax2")
         self.layers = layers
 
     @property
@@ -70,6 +73,9 @@ class SiameseNetwork:
                 raise ValueError(f"dimension chain broken: {prev} -> {nxt}")
         if head[-1].activation != SOFTMAX2:
             raise ValueError("final head layer must be softmax2")
+        for i, layer in enumerate(head[:-1]):
+            if layer.activation == SOFTMAX2:
+                raise ValueError(f"head layer {i} is softmax2 before the output")
         self.extractor = extractor
         self.head = head
 
@@ -152,14 +158,22 @@ def loss_and_gradients(net: SiameseNetwork, batch) -> tuple:
 
     dz = (probs - t) / n
     head_grads, djoined = stack_backward(net.head, cache_h, dz,
-                                         delta_is_dz=True, need_input_grad=True)
-    ga, _ = stack_backward(net.extractor.layers, cache_a,
-                           djoined[:, :feat_dim], delta_is_dz=False)
-    gb, _ = stack_backward(net.extractor.layers, cache_b,
-                           djoined[:, feat_dim:], delta_is_dz=False)
+                                         need_input_grad=True)
+    ga, _ = stack_backward(net.extractor.layers, cache_a, djoined[:, :feat_dim])
+    gb, _ = stack_backward(net.extractor.layers, cache_b, djoined[:, feat_dim:])
     ext_grads = [(dwa + dwb, dba + dbb)
                  for (dwa, dba), (dwb, dbb) in zip(ga, gb)]
     return loss, Gradients(ext_grads, head_grads)
+
+
+def mse_and_gradients(layers, x: np.ndarray, target: np.ndarray) -> tuple:
+    """Mean squared error of the stack's output against `target`, over all
+    elements, and gradients for every layer."""
+    out, cache = stack_forward(layers, x)
+    diff = out - target
+    loss = check_finite(float(np.mean(diff ** 2)))
+    grads, _ = stack_backward(layers, cache, (2.0 / diff.size) * diff)
+    return loss, grads
 
 
 class AutoEncoder:
@@ -179,17 +193,7 @@ class AutoEncoder:
         return cls(init_layer(in_dim, hidden, RELU, rng, dtype),
                    init_layer(hidden, in_dim, LINEAR, rng, dtype))
 
-    def reconstruction_loss(self, x: np.ndarray) -> float:
-        layers = [self.encoder, self.decoder]
-        out, _ = stack_forward(layers, x)
-        return check_finite(float(np.mean((out - x) ** 2)))
-
     def loss_and_gradients(self, x: np.ndarray) -> tuple:
-        """Mean squared error over all elements; gradients for both layers."""
-        layers = [self.encoder, self.decoder]
-        out, cache = stack_forward(layers, x)
-        diff = out - x
-        loss = check_finite(float(np.mean(diff ** 2)))
-        dz = (2.0 / diff.size) * diff  # linear output: dz == d(output)
-        grads, _ = stack_backward(layers, cache, dz, delta_is_dz=True)
-        return loss, grads
+        """Reconstruction error of `x`: mse_and_gradients onto itself."""
+        return mse_and_gradients([self.encoder, self.decoder], x, x)
+

@@ -1,9 +1,12 @@
-"""Training loops: autoencoder pretraining, pairwise comparison training
-with fresh per-epoch pair sampling, and two-stage distillation.
+"""Training: autoencoder pretraining, pairwise comparison training with
+fresh per-epoch pair sampling, and two-stage distillation.
 
-All loops are plain SGD (no momentum, no regularization) with the
-learning rate schedule lr(e) = initial_lr * decay^e, fully determined by
-the config seed.
+There is one SGD loop per loss. `_regress` (mean squared error) trains
+each pretraining stage and distillation stage 1; `_pair_epoch`
+(cross-entropy over pairs) runs each epoch of pairwise training and of
+distillation stage 2. Both are plain SGD (no momentum, no
+regularization) with the learning rate schedule
+lr(e) = initial_lr * decay^e, fully determined by the config seed.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .. import dataset
-from .layers import check_finite, stack_backward, stack_forward
+from .layers import stack_forward
 from .model import (
     AutoEncoder, FeatureExtractor, Gradients, SiameseNetwork,
     forward_pairs, init_extractor, init_head, loss_and_gradients,
+    mse_and_gradients,
 )
 
 TEACHER_EXTRACTOR_DIMS = (773, 600, 400, 200, 100)
@@ -42,10 +46,6 @@ class TrainConfig:
             raise ValueError("minibatch must be >= 1")
         if self.epochs < 0 or self.pairs_per_epoch < 1:
             raise ValueError("bad epoch/pair counts")
-
-
-PRETRAIN_DEFAULTS = TrainConfig(initial_lr=0.005, lr_decay_per_epoch=0.98,
-                                epochs=200, pairs_per_epoch=1, minibatch=128)
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
@@ -116,24 +116,29 @@ def build_pair_set(w_mat: np.ndarray, l_mat: np.ndarray, n: int, seed: int,
     return triple
 
 
-def pair_accuracy(net: SiameseNetwork, triple, batch: int = 8192) -> float:
+# pairs per forward pass when scoring a fixed pair set
+_EVAL_BATCH = 8192
+
+
+def _verdicts(net: SiameseNetwork, a, b) -> np.ndarray:
+    """Argmax column of each pair's output row."""
+    return np.concatenate([
+        forward_pairs(net, a[lo:lo + _EVAL_BATCH],
+                      b[lo:lo + _EVAL_BATCH]).argmax(axis=1)
+        for lo in range(0, len(a), _EVAL_BATCH)])
+
+
+def pair_accuracy(net: SiameseNetwork, triple) -> float:
     a, b, t = triple
-    hits = 0
-    for lo in range(0, len(a), batch):
-        p = forward_pairs(net, a[lo:lo + batch], b[lo:lo + batch])
-        hits += int((p.argmax(axis=1) == t[lo:lo + batch].argmax(axis=1)).sum())
-    return hits / len(a)
+    hits = _verdicts(net, a, b) == t.argmax(axis=1)
+    return int(hits.sum()) / len(a)
 
 
-def pair_agreement(net_a: SiameseNetwork, net_b: SiameseNetwork, triple,
-                   batch: int = 8192) -> float:
+def pair_agreement(net_a: SiameseNetwork, net_b: SiameseNetwork,
+                   triple) -> float:
     a, b, _ = triple
-    hits = 0
-    for lo in range(0, len(a), batch):
-        pa = forward_pairs(net_a, a[lo:lo + batch], b[lo:lo + batch])
-        pb = forward_pairs(net_b, a[lo:lo + batch], b[lo:lo + batch])
-        hits += int((pa.argmax(axis=1) == pb.argmax(axis=1)).sum())
-    return hits / len(a)
+    hits = _verdicts(net_a, a, b) == _verdicts(net_b, a, b)
+    return int(hits.sum()) / len(a)
 
 
 def pretrain_pos2vec(data, cfg: TrainConfig,
@@ -145,32 +150,16 @@ def pretrain_pos2vec(data, cfg: TrainConfig,
     earlier encoders are frozen while later stages train. Returns the
     encoder stack and the per-stage, per-epoch reconstruction losses.
     """
-    x_all = _as_matrix(data)
+    x_all = _as_matrix(data).astype(dtype)
     frozen: list = []
     logs: list = []
     for stage in range(len(dims) - 1):
         rng = np.random.default_rng([cfg.seed, stage])
-        if frozen:
-            inputs, _ = stack_forward(frozen, x_all.astype(dtype))
-        else:
-            inputs = x_all.astype(dtype)
+        inputs, _ = stack_forward(frozen, x_all)
         auto = AutoEncoder.fresh(dims[stage], dims[stage + 1], rng, dtype)
-        stage_log = []
-        n = len(inputs)
-        for epoch in range(cfg.epochs):
-            lr = lr_at(cfg, epoch)
-            order = rng.permutation(n)
-            total = 0.0
-            batches = 0
-            for lo in range(0, n, cfg.minibatch):
-                batch = inputs[order[lo:lo + cfg.minibatch]]
-                loss, grads = auto.loss_and_gradients(batch)
-                sgd_step([auto.encoder, auto.decoder], grads, lr)
-                total += loss
-                batches += 1
-            stage_log.append(total / max(batches, 1))
+        logs.append(_regress([auto.encoder, auto.decoder], inputs, inputs,
+                             cfg, rng))
         frozen.append(auto.encoder)
-        logs.append(stage_log)
     return FeatureExtractor(frozen), logs
 
 
@@ -201,26 +190,21 @@ def train_deepchess(ds, init: FeatureExtractor, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         lr = lr_at(cfg, epoch)
         rng = np.random.default_rng([cfg.seed, 1000 + epoch])
-        total = 0.0
-        batches = 0
-        for triple in pair_batches(train_w, train_l, cfg.pairs_per_epoch,
-                                   cfg.minibatch, rng, dtype):
-            loss, grads = loss_and_gradients(net, triple)
-            apply_gradients(net, grads, lr)
-            total += loss
-            batches += 1
+        batches = pair_batches(train_w, train_l, cfg.pairs_per_epoch,
+                               cfg.minibatch, rng, dtype)
+        mean_loss = _pair_epoch(net, batches, lr)
         probe = build_pair_set(train_w, train_l, min(cfg.pairs_per_epoch, 8192),
                                seed=cfg.seed + 2, dtype=dtype)
         train_acc = pair_accuracy(net, probe)
         val_acc = pair_accuracy(net, val) if val is not None else float("nan")
-        log.append(EpochStats(epoch, lr, total / max(batches, 1),
-                              train_acc, val_acc))
+        log.append(EpochStats(epoch, lr, mean_loss, train_acc, val_acc))
     return net, log
 
 
-def _regress_features(student: FeatureExtractor, inputs: np.ndarray,
-                      targets: np.ndarray, cfg: TrainConfig, rng) -> list:
-    """Stage 1: mean-squared-error regression onto teacher features."""
+def _regress(layers, inputs: np.ndarray, targets: np.ndarray,
+             cfg: TrainConfig, rng) -> list:
+    """Minibatch SGD on the mean squared error of the stack's output
+    against `targets`, reshuffled each epoch; returns per-epoch mean losses."""
     losses = []
     n = len(inputs)
     for epoch in range(cfg.epochs):
@@ -230,18 +214,26 @@ def _regress_features(student: FeatureExtractor, inputs: np.ndarray,
         batches = 0
         for lo in range(0, n, cfg.minibatch):
             idx = order[lo:lo + cfg.minibatch]
-            x = inputs[idx]
-            out, cache = stack_forward(student.layers, x)
-            diff = out - targets[idx]
-            loss = check_finite(float(np.mean(diff ** 2)))
-            delta = (2.0 / diff.size) * diff
-            grads, _ = stack_backward(student.layers, cache, delta,
-                                      delta_is_dz=False)
-            sgd_step(student.layers, grads, lr)
+            loss, grads = mse_and_gradients(layers, inputs[idx], targets[idx])
+            sgd_step(layers, grads, lr)
             total += loss
             batches += 1
         losses.append(total / max(batches, 1))
     return losses
+
+
+def _pair_epoch(net: SiameseNetwork, batches, lr: float,
+                freeze_extractor: bool = False) -> float:
+    """One SGD pass of cross-entropy over (first, second, target) batches;
+    returns the mean batch loss."""
+    total = 0.0
+    count = 0
+    for triple in batches:
+        loss, grads = loss_and_gradients(net, triple)
+        apply_gradients(net, grads, lr, freeze_extractor)
+        total += loss
+        count += 1
+    return total / max(count, 1)
 
 
 def distill(teacher: SiameseNetwork, positions, ds,
@@ -269,8 +261,8 @@ def distill(teacher: SiameseNetwork, positions, ds,
     stage1_log = []
     if cfg_stage1.epochs > 0:
         teacher_feats, _ = stack_forward(teacher.extractor.layers, x_all)
-        stage1_log = _regress_features(student_ext, x_all, teacher_feats,
-                                       cfg_stage1, rng1)
+        stage1_log = _regress(student_ext.layers, x_all, teacher_feats,
+                              cfg_stage1, rng1)
 
     rng2 = np.random.default_rng([cfg_stage2.seed, 32])
     head = init_head(2 * student_ext.out_dim, head_sizes, rng2, dtype)
@@ -282,15 +274,10 @@ def distill(teacher: SiameseNetwork, positions, ds,
     for epoch in range(cfg_stage2.epochs):
         lr = lr_at(cfg_stage2, epoch)
         rng = np.random.default_rng([cfg_stage2.seed, 2000 + epoch])
-        total = 0.0
-        batches = 0
-        for a, b, _ in pair_batches(train_w, train_l, cfg_stage2.pairs_per_epoch,
-                                    cfg_stage2.minibatch, rng, dtype):
-            soft = forward_pairs(teacher, a, b)
-            loss, grads = loss_and_gradients(student, (a, b, soft))
-            apply_gradients(student, grads, lr,
-                            freeze_extractor=freeze_extractor_stage2)
-            total += loss
-            batches += 1
-        stage2_log.append(total / max(batches, 1))
+        soft_batches = (
+            (a, b, forward_pairs(teacher, a, b)) for a, b, _ in pair_batches(
+                train_w, train_l, cfg_stage2.pairs_per_epoch,
+                cfg_stage2.minibatch, rng, dtype))
+        stage2_log.append(_pair_epoch(student, soft_batches, lr,
+                                      freeze_extractor_stage2))
     return student, {"stage1": stage1_log, "stage2": stage2_log}

@@ -192,6 +192,13 @@ class TestZobrist:
         b = parse_fen("r3k2r/8/8/8/8/8/8/R3K2R w Qkq - 0 1")
         assert a.zobrist != b.zobrist
 
+    def test_keys_are_stable(self):
+        # keys are part of the cache's behaviour; frozen from the fixed seed
+        assert startpos().zobrist == 8774137492643386889
+        kiwipete = parse_fen("r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/"
+                             "PPPBBPPP/R3K2R b KQkq - 0 1")
+        assert kiwipete.zobrist == 14486186884037510271
+
 
 class TestFEN:
     def test_startpos_round_trip(self):

@@ -9,8 +9,8 @@ import pytest
 
 from cmpchess.board import apply_move, legal_moves, startpos, to_fen
 from cmpchess.cli import (
-    BENCH_PAIRS, UsageError, _playouts, engine_config_from, load_config,
-    main, parse_config_text,
+    BENCH_PAIRS, UsageError, _clock, _playouts, engine_config_from,
+    load_config, main, parse_config_text,
 )
 from cmpchess.inference import MaterialComparator
 from cmpchess.match import MatchSpec, run_match
@@ -123,6 +123,19 @@ class TestPipeline:
         net = load_model(str(student))
         assert net.extractor.layers[0].in_dim == 773
 
+    def test_extract_reports_malformed_games(self, corpus_pgn, tmp_path,
+                                             capsys):
+        good = corpus_pgn.read_text().split("\n\n[")[0] + "\n\n"
+        bad = '[Result "1-0"]\n\n1. e4 e5 2. Ke3 1-0\n\n'
+        pgn = tmp_path / "mixed.pgn"
+        pgn.write_text(good + bad)
+        data = tmp_path / "mixed.bin"
+        assert main(["extract", "--pgn", str(pgn), "--out", str(data)]) == 0
+        captured = capsys.readouterr()
+        assert "read 1 games (1 decisive), skipped 1 malformed" in captured.out
+        assert f"skipped malformed game in {pgn}: game 1:" in captured.err
+        assert "Ke3" in captured.err
+
     def test_max_games_cap(self, corpus_pgn, tmp_path, capsys):
         data = tmp_path / "capped.bin"
         assert main(["extract", "--pgn", str(corpus_pgn), "--out", str(data),
@@ -151,6 +164,20 @@ class TestOperation:
         out = capsys.readouterr().out
         assert "engine A: +" in out and "elo difference" in out
         assert pgn_out.read_text().startswith("[Event")
+
+    def test_match_time_per_game_forms(self):
+        assert _clock("60") == (60.0, 60.0)
+        assert _clock("1.5, 2") == (1.5, 2.0)
+
+    @pytest.mark.parametrize("value", ["abc", "0.5,0.5,99", "0", "-1,5",
+                                       "5,", "nan", "inf,5"])
+    def test_match_time_per_game_refused(self, tmp_path, capsys, value):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("a.max_depth = 1\nb.max_depth = 1\n"
+                       f"time_per_game = {value}\n")
+        assert main(["match", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: time_per_game")
 
     def test_match_plays_from_openings_file(self, tmp_path, capsys):
         fens = ["4k3/8/8/8/8/8/4P3/4K3 w - - 0 1",

@@ -33,16 +33,12 @@ def game_from(text):
     return next(parse_pgn(io.StringIO(text)))
 
 
-def brute_force_eligible(moves, opening_cutoff=5, cutoff_unit="fullmove"):
+def brute_force_eligible(moves, opening_cutoff=5):
     """Replay and re-check the two filters directly (test-side oracle)."""
     p = startpos()
     out = []
     for i, m in enumerate(moves):
-        if cutoff_unit == "fullmove":
-            deep = p.fullmove_number > opening_cutoff
-        else:
-            deep = i >= opening_cutoff
-        if deep and not m.capture:
+        if p.fullmove_number > opening_cutoff and not m.capture:
             out.append(i)
         p = apply_move(p, m)
     return out
@@ -86,14 +82,6 @@ class TestExtraction:
             assert len(set(plies)) == 3  # no duplicates
             seen.update(plies)
         assert seen == set(brute_force_eligible(game.moves))  # all reachable
-
-    def test_ply_cutoff_unit(self):
-        game = game_from(QUIET_GAME)
-        expected = brute_force_eligible(game.moves, 5, "ply")
-        got = extract_positions(game.moves, game.outcome, random.Random(1),
-                                k=50, cutoff_unit="ply")
-        assert [x.ply for x in got] == expected
-        assert 5 in expected and 4 not in expected
 
     def test_draws_rejected(self):
         game = game_from(QUIET_GAME)

@@ -11,6 +11,7 @@ from cmpchess.nn import (
     forward, forward_pairs, init_siamese, load_extractor, load_model,
     loss_and_gradients, save_extractor, save_model,
 )
+from cmpchess.nn.io import _write_layers
 from cmpchess.nn.layers import init_layer, softmax_rows, stack_forward
 from cmpchess.nn.model import init_extractor, init_head
 from oracles import finite_difference, relative_error
@@ -146,7 +147,8 @@ class TestGradients:
         auto = AutoEncoder.fresh(6, 3, rng, dtype=np.float64)
         x = rng.random((5, 6))
         out, _ = stack_forward([auto.encoder, auto.decoder], x)
-        assert abs(auto.reconstruction_loss(x) - float(np.mean((out - x) ** 2))) < 1e-12
+        loss = auto.loss_and_gradients(x)[0]
+        assert abs(loss - float(np.mean((out - x) ** 2))) < 1e-12
 
 
 class TestConstruction:
@@ -169,6 +171,16 @@ class TestConstruction:
         bad_head = init_head(9, (2,), rng)
         with pytest.raises(ValueError):
             SiameseNetwork(ext, bad_head)
+
+    def test_softmax2_only_as_head_output(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="extractor layer 1"):
+            FeatureExtractor([init_layer(9, 2, "relu", rng),
+                              init_layer(2, 2, "softmax2", rng)])
+        ext = init_extractor((9, 4), rng)
+        with pytest.raises(ValueError, match="head layer 0"):
+            SiameseNetwork(ext, [init_layer(8, 2, "softmax2", rng),
+                                 init_layer(2, 2, "softmax2", rng)])
 
     def test_broken_chain_rejected(self):
         rng = np.random.default_rng(0)
@@ -231,6 +243,27 @@ class TestModelFile:
             path.write_bytes(raw[:cut])
             with pytest.raises((BadMagic, DimensionMismatch)):
                 load_model(path)
+
+    @pytest.mark.parametrize("acts, where", [
+        (("relu", "softmax2", "relu", "softmax2"), "extractor layer 1"),
+        (("relu", "relu", "softmax2", "softmax2"), "head layer 0"),
+    ], ids=["extractor", "head"])
+    def test_inner_softmax2_file_rejected(self, tmp_path, acts, where):
+        # 9->4->2 extractor, 4->2->2 head: the dims are consistent, only
+        # the activation of an inner layer is wrong
+        rng = np.random.default_rng(3)
+        dims = ((9, 4), (4, 2), (4, 2), (2, 2))
+        layers = [DenseLayer(rng.normal(size=(o, i)).astype(np.float32),
+                             np.zeros(o, np.float32), act)
+                  for (i, o), act in zip(dims, acts)]
+        path = tmp_path / "net.dchs"
+        _write_layers(path, layers)
+        with pytest.raises(DimensionMismatch, match=where):
+            load_model(path)
+        if where.startswith("extractor"):
+            _write_layers(path, layers[:2])
+            with pytest.raises(DimensionMismatch, match=where):
+                load_extractor(path)
 
     def test_headless_file_rejected(self, tmp_path):
         rng = np.random.default_rng(1)
