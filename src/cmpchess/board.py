@@ -167,6 +167,12 @@ def piece_plane(cell: int) -> int:
     return cell - 1 if cell > 0 else 5 - cell
 
 
+# Zobrist piece keys indexed by the board cell itself, -6..6: a black cell
+# counts from the end of the 13-entry tuple, as Python indexing does.
+_ZOBRIST_BY_CELL = ((),) + tuple(ZOBRIST_PIECE[piece_plane(c)]
+                                 for c in (*range(1, 7), *range(-6, 0)))
+
+
 def compute_zobrist(board, side_to_move: Color, castling: int) -> int:
     """Full recomputation of the position key (oracle for the incremental one)."""
     z = 0
@@ -183,7 +189,11 @@ def compute_zobrist(board, side_to_move: Color, castling: int) -> int:
 
 
 class Move:
-    """A move with its rule-relevant flags resolved at generation time."""
+    """A move with its rule-relevant flags resolved at generation time.
+
+    Generated moves are shared between positions (see _PLAIN_MOVES), so a
+    Move is a value: its fields are never assigned after construction.
+    """
 
     __slots__ = ("from_sq", "to_sq", "promotion", "capture", "castle",
                  "en_passant", "double_push")
@@ -229,6 +239,29 @@ class Move:
 
     def __repr__(self) -> str:
         return f"Move({self.uci()})"
+
+
+# One shared Move per plain step, built at import: a king, knight or
+# slider move, a non-promoting pawn push or pawn capture. _PLAIN_MOVES
+# [from*64 + to] is (quiet, capture) for every pair a queen or a knight
+# could join, None elsewhere.
+_PLAIN_MOVES = tuple(
+    (Move(f, t), Move(f, t, capture=True))
+    if t in KNIGHT_MOVES[f] or any(t in ray for _, ray in RAYS[f]) else None
+    for f in range(64) for t in range(64)
+)
+
+
+def _steps(f: int, targets) -> tuple:
+    """(to, quiet move, capture move) for each target square of `f`."""
+    return tuple((t,) + _PLAIN_MOVES[f * 64 + t] for t in targets)
+
+
+_KING_STEPS = tuple(_steps(s, KING_MOVES[s]) for s in range(64))
+_KNIGHT_STEPS = tuple(_steps(s, KNIGHT_MOVES[s]) for s in range(64))
+# _RAY_STEPS[sq][i] walks the squares of RAYS[sq][i]
+_RAY_STEPS = tuple(tuple(_steps(s, ray) for _, ray in RAYS[s])
+                  for s in range(64))
 
 
 def attacked_by(board, sq: int, color: Color, ignore_sq: int = -1) -> bool:
@@ -281,7 +314,8 @@ class Position:
                         if zobrist is None else zobrist)
         self._legal = None
         self._legal_keys = None
-        # parse_fen and make_move build boards with one king per colour
+        # parse_fen builds boards with one king per colour; make_move
+        # skips this scan and hands its successor the king squares
         self._kings = (board.index(W_KING) if W_KING in board else -1,
                        board.index(B_KING) if B_KING in board else -1)
 
@@ -514,17 +548,17 @@ def _generate(p: Position) -> Iterator[Move]:
     """The legal moves of p, one at a time, in `legal_moves` order."""
     board = p.board
     us = p.side_to_move
-    them = us.other
+    them = _OTHER_COLOR[us]
     own_positive = us == WHITE
-    ksq = p.king_square(us)
+    ksq = p._kings[us]
 
     # King steps (castling handled after check info is known).
-    for t in KING_MOVES[ksq]:
+    for t, quiet, take in _KING_STEPS[ksq]:
         cell = board[t]
         if cell != 0 and (cell > 0) == own_positive:
             continue
         if not attacked_by(board, t, them, ignore_sq=ksq):
-            yield Move(ksq, t, capture=cell != 0)
+            yield take if cell else quiet
 
     checkers = _find_checkers(board, ksq, them)
     if len(checkers) >= 2:
@@ -562,7 +596,7 @@ def _generate(p: Position) -> Iterator[Move]:
                         for promo in (QUEEN, ROOK, BISHOP, KNIGHT):
                             yield Move(sq, one, promotion=promo)
                     else:
-                        yield Move(sq, one)
+                        yield _PLAIN_MOVES[sq * 64 + one][0]
                 if rank == start_rank and board[one + fwd] == 0:
                     two = one + fwd
                     if (pin_mask is None or two in pin_mask) and (target is None or two in target):
@@ -575,7 +609,7 @@ def _generate(p: Position) -> Iterator[Move]:
                             for promo in (QUEEN, ROOK, BISHOP, KNIGHT):
                                 yield Move(sq, t, promotion=promo, capture=True)
                         else:
-                            yield Move(sq, t, capture=True)
+                            yield _PLAIN_MOVES[sq * 64 + t][1]
                 elif t == ep and ep is not None:
                     # Full make-test: en passant has its own discovered-check
                     # geometry that the pin map does not cover.
@@ -585,26 +619,24 @@ def _generate(p: Position) -> Iterator[Move]:
         elif kind == W_KNIGHT:
             if pin_mask is not None:
                 continue
-            for t in KNIGHT_MOVES[sq]:
+            for t, quiet, take in _KNIGHT_STEPS[sq]:
                 tc = board[t]
                 if tc != 0 and (tc > 0) == own_positive:
                     continue
                 if target is None or t in target:
-                    yield Move(sq, t, capture=tc != 0)
+                    yield take if tc else quiet
 
         elif kind != W_KING:
-            dirs = RAYS[sq]
             lo = 4 if kind == W_BISHOP else 0
             hi = 4 if kind == W_ROOK else 8
-            for i in range(lo, hi):
-                diagonal, ray = dirs[i]
-                for t in ray:
+            for ray in _RAY_STEPS[sq][lo:hi]:
+                for t, quiet, take in ray:
                     tc = board[t]
                     if tc != 0 and (tc > 0) == own_positive:
                         break
                     if ((pin_mask is None or t in pin_mask)
                             and (target is None or t in target)):
-                        yield Move(sq, t, capture=tc != 0)
+                        yield take if tc else quiet
                     if tc != 0:
                         break
 
@@ -659,7 +691,12 @@ def find_legal(p: Position, move: Move) -> Optional[Move]:
 
 
 _ROOK_HOPS = {6: (7, 5), 2: (0, 3), 62: (63, 61), 58: (56, 59)}
-_RIGHTS_LOST = {0: CASTLE_WQ, 7: CASTLE_WK, 56: CASTLE_BQ, 63: CASTLE_BK}
+# castling rights that survive a move from or to a square: a rook leaving
+# or taken on its home corner loses its side's right there
+_RIGHTS_KEPT = tuple(
+    15 & ~{0: CASTLE_WQ, 7: CASTLE_WK, 56: CASTLE_BQ, 63: CASTLE_BK}.get(sq, 0)
+    for sq in range(64))
+_new_position = object.__new__
 
 
 def apply_move(p: Position, m: Move) -> Position:
@@ -683,16 +720,16 @@ def make_move(p: Position, m: Move) -> Position:
     us = p.side_to_move
     frm, to = m.from_sq, m.to_sq
     pc = board[frm]
-    z = p.zobrist ^ ZOBRIST_SIDE
-    z ^= ZOBRIST_PIECE[piece_plane(pc)][frm]
+    keys = _ZOBRIST_BY_CELL
+    z = p.zobrist ^ ZOBRIST_SIDE ^ keys[pc][frm]
 
     captured = board[to]
     if m.en_passant:
         cap_sq = to + (-8 if us == WHITE else 8)
-        z ^= ZOBRIST_PIECE[piece_plane(board[cap_sq])][cap_sq]
+        z ^= keys[board[cap_sq]][cap_sq]
         board[cap_sq] = 0
     elif captured:
-        z ^= ZOBRIST_PIECE[piece_plane(captured)][to]
+        z ^= keys[captured][to]
 
     board[frm] = 0
     if m.promotion is not None:
@@ -700,35 +737,46 @@ def make_move(p: Position, m: Move) -> Position:
     else:
         new_pc = pc
     board[to] = new_pc
-    z ^= ZOBRIST_PIECE[piece_plane(new_pc)][to]
+    z ^= keys[new_pc][to]
 
     if m.castle:
         r_from, r_to = _ROOK_HOPS[to]
         rook = board[r_from]
         board[r_from] = 0
         board[r_to] = rook
-        rk = piece_plane(rook)
-        z ^= ZOBRIST_PIECE[rk][r_from] ^ ZOBRIST_PIECE[rk][r_to]
+        z ^= keys[rook][r_from] ^ keys[rook][r_to]
 
+    # the successor inherits the king squares; only a king move changes one
+    kings = p._kings
     castling = p.castling
     if pc == W_KING:
+        kings = (to, kings[1])
         castling &= ~(CASTLE_WK | CASTLE_WQ)
     elif pc == B_KING:
+        kings = (kings[0], to)
         castling &= ~(CASTLE_BK | CASTLE_BQ)
-    if frm in _RIGHTS_LOST:
-        castling &= ~_RIGHTS_LOST[frm]
-    if to in _RIGHTS_LOST:
-        castling &= ~_RIGHTS_LOST[to]
+    if castling:
+        castling &= _RIGHTS_KEPT[frm] & _RIGHTS_KEPT[to]
     changed = castling ^ p.castling
-    for bit in range(4):
-        if changed & (1 << bit):
-            z ^= ZOBRIST_CASTLE[bit]
+    if changed:
+        for bit in range(4):
+            if changed & (1 << bit):
+                z ^= ZOBRIST_CASTLE[bit]
 
-    en_passant = (frm + to) // 2 if m.double_push else None
-    halfmove = 0 if (m.capture or abs(pc) == W_PAWN) else p.halfmove_clock + 1
-    fullmove = p.fullmove_number + (1 if us == BLACK else 0)
-    return Position(tuple(board), us.other, castling, en_passant,
-                    halfmove, fullmove, zobrist=z)
+    # Position.__init__ without its key and king scans: both are carried
+    q = _new_position(Position)
+    q.board = tuple(board)
+    q.side_to_move = _OTHER_COLOR[us]
+    q.castling = castling
+    q.en_passant = (frm + to) // 2 if m.double_push else None
+    q.halfmove_clock = (0 if m.capture or pc == W_PAWN or pc == B_PAWN
+                        else p.halfmove_clock + 1)
+    q.fullmove_number = p.fullmove_number + (1 if us == BLACK else 0)
+    q.zobrist = z
+    q._legal = None
+    q._legal_keys = None
+    q._kings = kings
+    return q
 
 
 def perft(p: Position, depth: int) -> int:

@@ -275,7 +275,8 @@ def cmd_match(args) -> int:
     try:
         spec = MatchSpec(
             engines=(engine_a, engine_b),
-            games=int(cfg.get("games", args.games)),
+            games=int(args.games if args.games is not None
+                      else cfg.get("games", 2)),
             time_per_game=time_per_game,
             openings=openings,
             alternate_colors=_as_bool(cfg.get("alternate_colors", True)),
@@ -292,7 +293,7 @@ def cmd_match(args) -> int:
              else "undefined (shutout)"))
     for i, reason in enumerate(report.reasons, start=1):
         print(f"  game {i}: {reason}")
-    pgn_out = cfg.get("pgn_out") or args.pgn_out
+    pgn_out = args.pgn_out or cfg.get("pgn_out")
     if pgn_out:
         with open(pgn_out, "w") as f:
             f.write(report.pgn)
@@ -478,8 +479,10 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("match", help="play an engine-vs-engine match")
     p.add_argument("--config", required=True,
                    help="config with a.* / b.* engine keys and match keys")
-    p.add_argument("--games", type=int, default=2)
-    p.add_argument("--pgn-out", dest="pgn_out")
+    p.add_argument("--games", type=int,
+                   help="games to play (overrides the config; default 2)")
+    p.add_argument("--pgn-out", dest="pgn_out",
+                   help="write the games here (overrides the config)")
     p.set_defaults(func=cmd_match)
 
     p = subs.add_parser("bench", help="throughput and determinism report")

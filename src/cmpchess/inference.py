@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .board import Color, Position
+from .board import Position
 from .encoding import active_bits
 from .nn.layers import DenseLayer, RELU, stack_forward
 from .nn.model import FeatureExtractor, SiameseNetwork
@@ -221,6 +221,30 @@ _SQUARE_ACTIVITY = tuple(
     for sq in range(64)
 )
 
+# Material and activity packed into one term, (material << 16) + activity,
+# so one pass over the occupied squares sums both. Even a full board's
+# activity stays far below 2**15 in magnitude, so the sum splits back
+# exactly: material is the sum rounded to the nearest multiple of 2**16.
+_PACK = 16
+_SQUARE_SCORE = tuple(
+    tuple((material << _PACK) + activity
+          for material, activity in zip(_CELL_MATERIAL, row))
+    for row in _SQUARE_ACTIVITY
+)
+
+
+def _king_drive(strong_king: int, weak_king: int) -> int:
+    """Drive the weak king to the edge and the strong king toward it."""
+    sr, sf = divmod(strong_king, 8)
+    wr, wf = divmod(weak_king, 8)
+    edge = max(abs(2 * wf - 7), abs(2 * wr - 7)) // 2
+    closeness = 7 - max(abs(sr - wr), abs(sf - wf))
+    return 3 * edge + closeness
+
+
+# _KING_DRIVE[strong_king * 64 + weak_king]
+_KING_DRIVE = tuple(_king_drive(s, w) for s in range(64) for w in range(64))
+
 
 def baseline_eval(p: Position) -> int:
     """Integer White-perspective score: material plus a small tiebreak.
@@ -234,21 +258,18 @@ def baseline_eval(p: Position) -> int:
     repetition draws it cannot see.
     """
     board = p.board
-    material = material_balance(p)
-    # empty cells score 0 in both tables, so only occupied squares are read
-    activity = sum(map(tuple.__getitem__, compress(_SQUARE_ACTIVITY, board),
-                       compress(board, board)))
-    if material:
-        strong = Color.WHITE if material > 0 else Color.BLACK
-        weak_king = p.king_square(strong.other)
-        strong_king = p.king_square(strong)
-        wr, wf = divmod(weak_king, 8)
-        edge = max(abs(2 * wf - 7), abs(2 * wr - 7)) // 2
-        sr, sf = divmod(strong_king, 8)
-        closeness = 7 - max(abs(sr - wr), abs(sf - wf))
-        drive = 3 * edge + closeness
-        activity += drive if strong == Color.WHITE else -drive
-    return 256 * material + activity
+    # empty cells score 0, so only occupied squares are read
+    packed = sum(map(tuple.__getitem__, compress(_SQUARE_SCORE, board),
+                     compress(board, board)))
+    material = (packed + (1 << (_PACK - 1))) >> _PACK
+    score = 256 * material + packed - (material << _PACK)
+    if material > 0:
+        white_king, black_king = p._kings
+        score += _KING_DRIVE[white_king * 64 + black_king]
+    elif material < 0:
+        white_king, black_king = p._kings
+        score -= _KING_DRIVE[black_king * 64 + white_king]
+    return score
 
 
 # Scored positions a MaterialComparator keeps before it starts its memo
@@ -269,16 +290,22 @@ class MaterialComparator:
         self._scores: dict = {}  # searches revisit positions heavily
 
     def _score(self, p: Position) -> int:
-        s = self._scores.get(p.zobrist)
-        if s is None:
-            if len(self._scores) >= _SCORES_LIMIT:
-                self._scores.clear()
-            s = self._scores[p.zobrist] = baseline_eval(p)
+        """Score a position the memo does not hold yet, and keep it."""
+        if len(self._scores) >= _SCORES_LIMIT:
+            self._scores.clear()
+        s = self._scores[p.zobrist] = baseline_eval(p)
         return s
 
     def __call__(self, pa: Position, pb: Position) -> Ordering:
         self.calls += 1
-        if self._score(pa) > self._score(pb):
+        scores = self._scores
+        a = scores.get(pa.zobrist)
+        if a is None:
+            a = self._score(pa)
+        b = scores.get(pb.zobrist)
+        if b is None:
+            b = self._score(pb)
+        if a > b:
             return Ordering.FIRST_BETTER
         return Ordering.SECOND_BETTER
 

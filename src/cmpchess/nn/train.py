@@ -185,6 +185,10 @@ def train_deepchess(ds, init: FeatureExtractor, cfg: TrainConfig,
         val = build_pair_set(dataset.class_matrix(ds.val_W),
                              dataset.class_matrix(ds.val_L),
                              val_pairs, seed=cfg.seed + 1, dtype=dtype)
+    # the same fixed train-accuracy probe every epoch
+    probe = (build_pair_set(train_w, train_l, min(cfg.pairs_per_epoch, 8192),
+                            seed=cfg.seed + 2, dtype=dtype)
+             if cfg.epochs else None)
 
     log: list = []
     for epoch in range(cfg.epochs):
@@ -193,8 +197,6 @@ def train_deepchess(ds, init: FeatureExtractor, cfg: TrainConfig,
         batches = pair_batches(train_w, train_l, cfg.pairs_per_epoch,
                                cfg.minibatch, rng, dtype)
         mean_loss = _pair_epoch(net, batches, lr)
-        probe = build_pair_set(train_w, train_l, min(cfg.pairs_per_epoch, 8192),
-                               seed=cfg.seed + 2, dtype=dtype)
         train_acc = pair_accuracy(net, probe)
         val_acc = pair_accuracy(net, val) if val is not None else float("nan")
         log.append(EpochStats(epoch, lr, mean_loss, train_acc, val_acc))

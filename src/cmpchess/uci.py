@@ -13,6 +13,7 @@ land inside the caller's window.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -47,6 +48,9 @@ class EngineConfig:
                              "comparator")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        if not (math.isfinite(self.cache_mb) and self.cache_mb > 0):
+            raise ValueError(f"cache_mb must be a finite number > 0, "
+                             f"got {self.cache_mb}")
 
 
 def build_comparator(cfg: EngineConfig):

@@ -59,6 +59,13 @@ class TestConfigFormat:
         with pytest.raises(UsageError):
             engine_config_from({"deterministic": "maybe"})
 
+    @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+    def test_bad_cache_size_refused_by_name(self, value):
+        with pytest.raises(UsageError, match="cache_mb"):
+            engine_config_from({"cache_mb": value})
+        with pytest.raises(ValueError, match="cache_mb"):
+            EngineConfig(cache_mb=float(value))
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -164,6 +171,32 @@ class TestOperation:
         out = capsys.readouterr().out
         assert "engine A: +" in out and "elo difference" in out
         assert pgn_out.read_text().startswith("[Event")
+
+    @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+    def test_match_bad_cache_size_exits_1(self, tmp_path, capsys, value):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("a.max_depth = 1\nb.max_depth = 1\n"
+                       f"b.cache_mb = {value}\ngames = 1\nmax_plies = 2\n")
+        assert main(["match", "--config", str(cfg)]) == 1
+        assert "cache_mb" in capsys.readouterr().err
+
+    def test_match_flags_override_config(self, tmp_path, capsys):
+        file_pgn, flag_pgn = tmp_path / "file.pgn", tmp_path / "flag.pgn"
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(
+            "a.comparator = material\na.max_depth = 1\n"
+            "b.comparator = random\nb.max_depth = 1\n"
+            f"games = 2\nmax_plies = 4\npgn_out = {file_pgn}\n")
+        assert main(["match", "--config", str(cfg), "--games", "4",
+                     "--pgn-out", str(flag_pgn)]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"^  game (\d+):", out, re.MULTILINE) == \
+            ["1", "2", "3", "4"]
+        assert flag_pgn.read_text().count("[Event ") == 4
+        assert not file_pgn.exists()
+        # without the flags the file's values hold
+        assert main(["match", "--config", str(cfg)]) == 0
+        assert file_pgn.read_text().count("[Event ") == 2
 
     def test_match_time_per_game_forms(self):
         assert _clock("60") == (60.0, 60.0)

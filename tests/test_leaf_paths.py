@@ -1,19 +1,23 @@
 """The cheap node paths against the slow paths they replace.
 
 `has_legal_move` must agree with `bool(legal_moves(p))`, `legal_moves`
-must keep its move order, the table-driven `baseline_eval` must equal
-the per-square loop it replaced, the unchecked `make_move` must build
-what the validating `apply_move` builds, kings must sit where a board
-scan finds them, and a search must count the same nodes and choose the
-same move whichever leaf check or make it uses.
+must keep its move order and give its shared table moves the flags the
+board implies, the table-driven `baseline_eval` must equal the
+per-square loop it replaced, the unchecked `make_move` must build what
+the validating `apply_move` and a fresh `Position` build, kings must sit
+where a board scan finds them, and a search must count the same nodes
+and choose the same move whichever leaf check or make it uses.
 """
+
+import hashlib
+import random
 
 import pytest
 
-from cmpchess import board, search
+from cmpchess import board, inference, search
 from cmpchess.board import (
-    B_KING, W_KING, Color, Move, apply_move, has_legal_move, legal_moves,
-    make_move, parse_fen, to_fen,
+    B_KING, W_KING, Color, Move, Position, apply_move, has_legal_move,
+    legal_moves, make_move, parse_fen, to_fen,
 )
 from cmpchess.inference import (
     CELL_VALUES, FeatureCache, LearnedComparator, MaterialComparator,
@@ -94,6 +98,63 @@ def test_legal_move_order_unchanged(fen):
     assert [m.uci() for m in legal_moves(p)] == ORDERED[fen].split()
 
 
+MOVE_FIELDS = ("from_sq", "to_sq", "promotion", "capture", "castle",
+               "en_passant", "double_push")
+
+# sha256 of every corpus position's legal moves in generation order, each
+# as UCI plus its capture, castle, en passant and double-push flags; frozen
+# from the generator that constructed a new Move for every move
+CORPUS_MOVES = (304_419, "c24a3d623ab157d20bae0afc7f7e19b78df8e2f2f0f95c4"
+                         "ef9b656cb50d3f334")
+
+
+def fields_of(m) -> tuple:
+    return tuple(getattr(m, name) for name in MOVE_FIELDS)
+
+
+class TestMoveTable:
+    def test_corpus_move_lists_unchanged(self, corpus):
+        digest = hashlib.sha256()
+        count = 0
+        for p in corpus:
+            for m in legal_moves(p):
+                count += 1
+                digest.update(f"{m.uci()}{m.capture:d}{m.castle:d}"
+                              f"{m.en_passant:d}{m.double_push:d} ".encode())
+            digest.update(b"\n")
+        assert (count, digest.hexdigest()) == CORPUS_MOVES
+
+    def test_moves_match_constructed_on_corpus(self, corpus):
+        for p in corpus:
+            moves = legal_moves(p)
+            built = [Move(*fields_of(m)) for m in moves]
+            assert list(map(fields_of, moves)) == list(map(fields_of, built))
+            assert moves == built
+            assert list(map(hash, moves)) == list(map(hash, built))
+            for m in moves:
+                kind = abs(p.board[m.from_sq])
+                step = m.to_sq - m.from_sq
+                taken = p.board[m.to_sq] != 0
+                ep = kind == 1 and step % 8 != 0 and not taken
+                assert m.en_passant == ep, (to_fen(p), m.uci())
+                assert m.capture == (taken or ep), (to_fen(p), m.uci())
+                assert m.castle == (kind == 6 and abs(step) == 2)
+                assert m.double_push == (kind == 1 and abs(step) == 16)
+                assert (m.promotion is not None) == (
+                    kind == 1 and m.to_sq >> 3 in (0, 7))
+
+    def test_table_holds_only_reachable_steps(self):
+        # 1,456 queen-line pairs and 336 knight pairs on an empty board
+        pairs = [i for i, entry in enumerate(board._PLAIN_MOVES) if entry]
+        assert len(pairs) == 1456 + 336
+        for i in pairs:
+            quiet, take = board._PLAIN_MOVES[i]
+            assert fields_of(quiet) == (i >> 6, i & 63, None, False, False,
+                                        False, False)
+            assert fields_of(take) == (i >> 6, i & 63, None, True, False,
+                                       False, False)
+
+
 def reference_baseline_eval(p):
     """The per-square loop `baseline_eval` ran before its tables."""
     material = 0
@@ -130,6 +191,32 @@ class TestMaterialTables:
     def test_baseline_eval_matches_reference_hand_built(self, name, fen, _):
         p = parse_fen(fen)
         assert baseline_eval(p) == reference_baseline_eval(p)[1]
+
+
+    def test_packed_activity_cannot_reach_half_the_pack(self):
+        # the most activity a board can sum: every square's largest term
+        bound = sum(max(map(abs, row)) for row in inference._SQUARE_ACTIVITY)
+        assert bound < 1 << (inference._PACK - 1)
+        for sq in range(64):
+            for cell in range(-6, 7):
+                assert inference._SQUARE_SCORE[sq][cell] == (
+                    (inference._CELL_MATERIAL[cell] << inference._PACK)
+                    + inference._SQUARE_ACTIVITY[sq][cell])
+
+    @pytest.mark.parametrize("cells", [
+        (1, 2, 3, 4, 5, -1, -2, -3, -4, -5, 0), (1, 2, 3, 4, 5), (-1, -5)],
+        ids=["mixed", "white only", "black only"])
+    def test_baseline_eval_matches_reference_on_crowded_boards(self, cells):
+        # boards no game reaches: up to 62 pieces and lopsided material
+        rng = random.Random(len(cells))
+        for _ in range(500):
+            squares = [rng.choice(cells) for _ in range(64)]
+            for sq, king in zip(rng.sample(range(64), 2), (W_KING, B_KING)):
+                squares[sq] = king
+            p = Position(tuple(squares), Color.WHITE, 0, None, 0, 1)
+            material, score = reference_baseline_eval(p)
+            assert baseline_eval(p) == score, squares
+            assert material_balance(p) == material, squares
 
 
 class TestSearchLeaves:
@@ -268,6 +355,20 @@ class TestKings:
             for color in (Color.WHITE, Color.BLACK):
                 assert p.king_square(color) == scanned_king(p, color), \
                     to_fen(p)
+
+    def test_make_matches_fresh_position_on_corpus(self, corpus):
+        # make and apply share one make body, so TestMake cannot see a
+        # wrongly inherited king; a fresh Position scans the board and
+        # recomputes the key
+        for p in corpus:
+            for m in legal_moves(p):
+                q = make_move(p, m)
+                fresh = Position(q.board, q.side_to_move, q.castling,
+                                 q.en_passant, q.halfmove_clock,
+                                 q.fullmove_number)
+                assert state(q) == state(fresh), (to_fen(p), m.uci())
+                assert q._kings == (scanned_king(q, Color.WHITE),
+                                    scanned_king(q, Color.BLACK))
 
     @pytest.mark.parametrize("name, fen, line", KING_LINES,
                              ids=[case[0] for case in KING_LINES])

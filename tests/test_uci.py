@@ -253,6 +253,20 @@ class TestSetOption:
         assert Move.from_uci(bm) in legal_moves(startpos())
 
 
+    @pytest.mark.parametrize("value", ["nan", "-5", "0", "inf"])
+    def test_bad_cache_size_diagnosed(self, value):
+        out = run_lines([f"setoption name CacheMB value {value}",
+                         "position startpos", "go depth 1", "quit"])
+        (diag,) = [line for line in out if line.startswith("info string")]
+        assert "setoption" in diag and "cache_mb" in diag
+        (bm,) = bestmoves(out)
+        assert Move.from_uci(bm) in legal_moves(startpos())
+
+    def test_good_cache_size_accepted(self):
+        out = run_lines(["setoption name CacheMB value 0.5", "quit"])
+        assert not any(line.startswith("info string") for line in out)
+
+
 class TestRobustness:
     def test_malformed_commands_are_diagnosed_not_fatal(self):
         out = run_lines(["position fen banana", "go depth 1",
