@@ -192,7 +192,6 @@ class TestMaterialTables:
         p = parse_fen(fen)
         assert baseline_eval(p) == reference_baseline_eval(p)[1]
 
-
     def test_packed_activity_cannot_reach_half_the_pack(self):
         # the most activity a board can sum: every square's largest term
         bound = sum(max(map(abs, row)) for row in inference._SQUARE_ACTIVITY)

@@ -252,7 +252,6 @@ class TestSetOption:
         (bm,) = bestmoves(out)
         assert Move.from_uci(bm) in legal_moves(startpos())
 
-
     @pytest.mark.parametrize("value", ["nan", "-5", "0", "inf"])
     def test_bad_cache_size_diagnosed(self, value):
         out = run_lines([f"setoption name CacheMB value {value}",
