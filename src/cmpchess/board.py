@@ -53,6 +53,16 @@ B_PAWN, B_KNIGHT, B_BISHOP, B_ROOK, B_QUEEN, B_KING = -1, -2, -3, -4, -5, -6
 # Castling rights bits, in the order used by the network encoding.
 CASTLE_WK, CASTLE_WQ, CASTLE_BK, CASTLE_BQ = 1, 2, 4, 8
 
+# The four castlings in bit order: (right, FEN letter, king from, king to,
+# rook from, rook to). Every other castling table is built from this one.
+CASTLINGS = (
+    (CASTLE_WK, "K", 4, 6, 7, 5),
+    (CASTLE_WQ, "Q", 4, 2, 0, 3),
+    (CASTLE_BK, "k", 60, 62, 63, 61),
+    (CASTLE_BQ, "q", 60, 58, 56, 59),
+)
+_CASTLINGS_OF = (CASTLINGS[:2], CASTLINGS[2:])  # indexed by Color
+
 STARTPOS_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 
 FILES = "abcdefgh"
@@ -391,7 +401,7 @@ def parse_fen(text: str) -> Position:
 
     castling = 0
     if fields[2] != "-":
-        bits = {"K": CASTLE_WK, "Q": CASTLE_WQ, "k": CASTLE_BK, "q": CASTLE_BQ}
+        bits = {letter: bit for bit, letter, *_ in CASTLINGS}
         for ch in fields[2]:
             bit = bits.get(ch)
             if bit is None or castling & bit:
@@ -426,17 +436,27 @@ def parse_fen(text: str) -> Position:
     return Position(board, stm, castling, en_passant, halfmove, fullmove)
 
 
-def _validate_position(board, stm: Color, castling: int) -> None:
+def placement_error(board, castling: int) -> Optional[tuple[str, int]]:
+    """(message, FEN field index) for the first placement rule broken, or
+    None: one king per colour, no pawn on rank 1 or 8, and every castling
+    right with its king and rook on their home squares."""
     if board.count(W_KING) != 1 or board.count(B_KING) != 1:
-        raise MalformedFEN("expected exactly one king per color", 0)
+        return "expected exactly one king per color", 0
     for sq in range(8):
         if abs(board[sq]) == W_PAWN or abs(board[sq + 56]) == W_PAWN:
-            raise MalformedFEN("pawn on rank 1 or 8", 0)
-    home = ((CASTLE_WK, 4, W_KING, 7, W_ROOK), (CASTLE_WQ, 4, W_KING, 0, W_ROOK),
-            (CASTLE_BK, 60, B_KING, 63, B_ROOK), (CASTLE_BQ, 60, B_KING, 56, B_ROOK))
-    for bit, ksq, king, rsq, rook in home:
-        if castling & bit and (board[ksq] != king or board[rsq] != rook):
-            raise MalformedFEN("castling right without king/rook on home squares", 2)
+            return "pawn on rank 1 or 8", 0
+    for color, king, rook in ((WHITE, W_KING, W_ROOK), (BLACK, B_KING, B_ROOK)):
+        for bit, _, king_from, _, rook_from, _ in _CASTLINGS_OF[color]:
+            if castling & bit and (board[king_from] != king
+                                   or board[rook_from] != rook):
+                return "castling right without king/rook on home squares", 2
+    return None
+
+
+def _validate_position(board, stm: Color, castling: int) -> None:
+    error = placement_error(board, castling)
+    if error is not None:
+        raise MalformedFEN(*error)
     them_king = board.index(W_KING if stm == BLACK else B_KING)
     if attacked_by(board, them_king, stm):
         raise MalformedFEN("side not to move is in check", 1)
@@ -460,7 +480,7 @@ def to_fen(p: Position) -> str:
         if empty:
             row += str(empty)
         rows.append(row)
-    castling = "".join(ch for ch, bit in zip("KQkq", (1, 2, 4, 8)) if p.castling & bit) or "-"
+    castling = "".join(letter for bit, letter, *_ in CASTLINGS if p.castling & bit) or "-"
     ep = square_name(p.en_passant) if p.en_passant is not None else "-"
     return " ".join(("/".join(rows), "wb"[p.side_to_move], castling, ep,
                      str(p.halfmove_clock), str(p.fullmove_number)))
@@ -480,40 +500,27 @@ def startpos() -> Position:
 # Move generation
 # ---------------------------------------------------------------------------
 
-def _find_checkers(board, ksq: int, them: Color) -> list[int]:
-    out = []
-    if them == WHITE:
-        pawn, knight, bishop, rook, queen = 1, 2, 3, 4, 5
-    else:
+def _checks_and_pins(board, ksq: int,
+                     us: Color) -> tuple[list[int], dict[int, frozenset]]:
+    """The squares of the pieces checking the king of `us` on `ksq`, and
+    a map of its pinned pieces' squares to the squares they may still
+    move to. Walks each ray from the king once: an enemy slider with no
+    own piece before it checks, one behind a single own piece pins it."""
+    if us == WHITE:
         pawn, knight, bishop, rook, queen = -1, -2, -3, -4, -5
-    for s in PAWN_ATTACKERS[them][ksq]:
+    else:
+        pawn, knight, bishop, rook, queen = 1, 2, 3, 4, 5
+    own_positive = us == WHITE
+    checkers = []
+    for s in PAWN_ATTACKERS[_OTHER_COLOR[us]][ksq]:
         if board[s] == pawn:
-            out.append(s)
+            checkers.append(s)
     for s in KNIGHT_MOVES[ksq]:
         if board[s] == knight:
-            out.append(s)
+            checkers.append(s)
+    pins: dict[int, frozenset] = {}
     for diagonal, ray in RAYS[ksq]:
         slider = bishop if diagonal else rook
-        for s in ray:
-            cell = board[s]
-            if cell == 0:
-                continue
-            if cell == slider or cell == queen:
-                out.append(s)
-            break
-    return out
-
-
-def _find_pins(board, ksq: int, us: Color) -> dict[int, frozenset]:
-    """Map of pinned own squares -> squares they may still move to."""
-    pins: dict[int, frozenset] = {}
-    own_positive = us == WHITE
-    if us == WHITE:
-        e_bishop, e_rook, e_queen = -3, -4, -5
-    else:
-        e_bishop, e_rook, e_queen = 3, 4, 5
-    for diagonal, ray in RAYS[ksq]:
-        slider = e_bishop if diagonal else e_rook
         shield = -1
         for s in ray:
             cell = board[s]
@@ -523,14 +530,17 @@ def _find_pins(board, ksq: int, us: Color) -> dict[int, frozenset]:
                 if shield >= 0:
                     break
                 shield = s
-            else:
-                if shield >= 0 and (cell == slider or cell == e_queen):
+                continue
+            if cell == slider or cell == queen:
+                if shield < 0:
+                    checkers.append(s)
+                else:
                     allowed = set(BETWEEN[ksq * 64 + s])
                     allowed.add(s)
                     allowed.discard(shield)
                     pins[shield] = frozenset(allowed)
-                break
-    return pins
+            break
+    return checkers, pins
 
 
 def _ep_is_legal(p: Position, from_sq: int, to_sq: int) -> bool:
@@ -560,11 +570,9 @@ def _generate(p: Position) -> Iterator[Move]:
         if not attacked_by(board, t, them, ignore_sq=ksq):
             yield take if cell else quiet
 
-    checkers = _find_checkers(board, ksq, them)
+    checkers, pins = _checks_and_pins(board, ksq, us)
     if len(checkers) >= 2:
         return
-
-    pins = _find_pins(board, ksq, us)
 
     if checkers:
         csq = checkers[0]
@@ -640,29 +648,18 @@ def _generate(p: Position) -> Iterator[Move]:
                     if tc != 0:
                         break
 
-    if not checkers:
-        if us == WHITE:
-            if (p.castling & CASTLE_WK and board[5] == 0 and board[6] == 0
-                    and board[7] == W_ROOK
-                    and not attacked_by(board, 5, them)
-                    and not attacked_by(board, 6, them)):
-                yield Move(4, 6, castle=True)
-            if (p.castling & CASTLE_WQ and board[3] == 0 and board[2] == 0
-                    and board[1] == 0 and board[0] == W_ROOK
-                    and not attacked_by(board, 3, them)
-                    and not attacked_by(board, 2, them)):
-                yield Move(4, 2, castle=True)
-        else:
-            if (p.castling & CASTLE_BK and board[61] == 0 and board[62] == 0
-                    and board[63] == B_ROOK
-                    and not attacked_by(board, 61, them)
-                    and not attacked_by(board, 62, them)):
-                yield Move(60, 62, castle=True)
-            if (p.castling & CASTLE_BQ and board[59] == 0 and board[58] == 0
-                    and board[57] == 0 and board[56] == B_ROOK
-                    and not attacked_by(board, 59, them)
-                    and not attacked_by(board, 58, them)):
-                yield Move(60, 58, castle=True)
+    rights = p.castling
+    if rights and not checkers:
+        rook = W_ROOK if own_positive else B_ROOK
+        # the squares between king and rook empty, the one the king
+        # crosses and the one it lands on unattacked
+        for bit, _, king_from, king_to, rook_from, _ in _CASTLINGS_OF[us]:
+            if (rights & bit and board[rook_from] == rook
+                    and not any(map(board.__getitem__,
+                                    BETWEEN[king_from * 64 + rook_from]))
+                    and not attacked_by(board, (king_from + king_to) // 2, them)
+                    and not attacked_by(board, king_to, them)):
+                yield Move(king_from, king_to, castle=True)
 
 
 def legal_moves(p: Position) -> list[Move]:
@@ -690,11 +687,15 @@ def find_legal(p: Position, move: Move) -> Optional[Move]:
     return _legal_key_map(p).get(move.key())
 
 
-_ROOK_HOPS = {6: (7, 5), 2: (0, 3), 62: (63, 61), 58: (56, 59)}
-# castling rights that survive a move from or to a square: a rook leaving
-# or taken on its home corner loses its side's right there
+# the rook's hop of the castling whose king lands on a square
+_ROOK_HOPS = {king_to: (rook_from, rook_to)
+              for _, _, _, king_to, rook_from, rook_to in CASTLINGS}
+# castling rights that survive a move from or to a square: a king leaving
+# home loses both its side's rights (it holds none elsewhere, as parse_fen
+# checks), a rook leaving or taken on its home corner its own
 _RIGHTS_KEPT = tuple(
-    15 & ~{0: CASTLE_WQ, 7: CASTLE_WK, 56: CASTLE_BQ, 63: CASTLE_BK}.get(sq, 0)
+    15 & ~sum(bit for bit, _, king_from, _, rook_from, _ in CASTLINGS
+              if sq in (king_from, rook_from))
     for sq in range(64))
 _new_position = object.__new__
 
@@ -748,13 +749,11 @@ def make_move(p: Position, m: Move) -> Position:
 
     # the successor inherits the king squares; only a king move changes one
     kings = p._kings
-    castling = p.castling
     if pc == W_KING:
         kings = (to, kings[1])
-        castling &= ~(CASTLE_WK | CASTLE_WQ)
     elif pc == B_KING:
         kings = (kings[0], to)
-        castling &= ~(CASTLE_BK | CASTLE_BQ)
+    castling = p.castling
     if castling:
         castling &= _RIGHTS_KEPT[frm] & _RIGHTS_KEPT[to]
     changed = castling ^ p.castling

@@ -21,7 +21,7 @@ from dataclasses import fields
 from itertools import islice
 from typing import Optional
 
-from .board import GameOutcome, parse_fen, perft, random_playout, startpos
+from .board import GameOutcome, perft, random_playout, startpos
 from .dataset import (
     InsufficientData, extract_positions, load_positions, save_positions,
     split,
@@ -152,13 +152,10 @@ def cmd_extract(args) -> int:
                 if game.outcome not in (GameOutcome.WHITE_WINS,
                                         GameOutcome.BLACK_WINS):
                     continue
-                start = None
-                if "FEN" in game.tags:
-                    start = parse_fen(game.tags["FEN"])
                 decisive += 1
                 kept.extend(extract_positions(
                     game.moves, game.outcome, rng, k=args.per_game,
-                    game_id=decisive, start=start,
+                    game_id=decisive, start=game.start,
                     opening_cutoff=args.opening_cutoff))
                 if args.max_games and decisive >= args.max_games:
                     break

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .board import Color, Position, piece_plane
+from .board import Color, Position, piece_plane, placement_error
 
 VECTOR_BITS = 773
 PACKED_BYTES = 97  # 773 bits zero-padded to 776, little bit order
@@ -51,7 +51,8 @@ class DecodedPosition(NamedTuple):
     """Partial position recovered from a vector; clocks/en-passant absent.
 
     `valid` is False when the placement could not belong to a legal game
-    (king counts, pawns on back ranks, castling rights without home pieces).
+    (king counts, pawns on back ranks, castling rights without home pieces:
+    `board.placement_error`).
     """
     board: tuple
     side_to_move: Color
@@ -73,16 +74,7 @@ def decode(v) -> DecodedPosition:
             cells[sq] = cell
     stm = Color.WHITE if v[768] else Color.BLACK
     castling = sum(1 << i for i in range(4) if v[769 + i])
-
-    valid = cells.count(6) == 1 and cells.count(-6) == 1
-    if valid:
-        for sq in range(8):
-            if abs(cells[sq]) == 1 or abs(cells[sq + 56]) == 1:
-                valid = False
-    home = ((1, 4, 6, 7, 4), (2, 4, 6, 0, 4), (4, 60, -6, 63, -4), (8, 60, -6, 56, -4))
-    for bit, ksq, king, rsq, rook in home:
-        if castling & bit and (cells[ksq] != king or cells[rsq] != rook):
-            valid = False
+    valid = placement_error(cells, castling) is None
     return DecodedPosition(tuple(cells), stm, castling, valid)
 
 

@@ -23,9 +23,10 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .board import Position
-from .encoding import active_bits
+from .encoding import VECTOR_BITS, active_bits
+from .fileformat import DimensionMismatch
 from .nn.layers import DenseLayer, RELU, stack_forward
-from .nn.model import FeatureExtractor, SiameseNetwork
+from .nn.model import SiameseNetwork
 
 
 class IndexOutOfRange(IndexError):
@@ -112,12 +113,8 @@ class FeatureCache:
                 "capacity": self.capacity}
 
 
-def _extractor_of(net) -> FeatureExtractor:
-    return getattr(net, "extractor", net)
-
-
-def features_of(p: Position, net, cache: Optional[FeatureCache] = None
-                ) -> np.ndarray:
+def features_of(p: Position, net: SiameseNetwork,
+                cache: Optional[FeatureCache] = None) -> np.ndarray:
     """Feature vector of a position: sparse first layer, dense rest.
 
     With a cache, repeat queries for the same position (by Zobrist key)
@@ -127,17 +124,17 @@ def features_of(p: Position, net, cache: Optional[FeatureCache] = None
         hit = cache.get(p.zobrist)
         if hit is not None:
             return hit
-    ext = _extractor_of(net)
-    first = ext.layers[0]
+    layers = net.extractor.layers
+    first = layers[0]
     z = sparse_affine(first, active_bits(p))
     x = np.maximum(z, 0) if first.activation == RELU else z
-    x, _ = stack_forward(ext.layers[1:], x)
+    x, _ = stack_forward(layers[1:], x)
     if cache is not None:
         cache.put(p.zobrist, x)
     return x
 
 
-def compare(net, fa: np.ndarray, fb: np.ndarray) -> tuple:
+def compare(net: SiameseNetwork, fa: np.ndarray, fb: np.ndarray) -> tuple:
     """Order two feature vectors with the comparison head.
 
     Returns (ordering, confidence). FirstBetter iff the first output
@@ -145,7 +142,7 @@ def compare(net, fa: np.ndarray, fb: np.ndarray) -> tuple:
     The confidence is the winning 2-way softmax component,
     1 / (1 + exp(-|z0 - z1|)), so no softmax is computed.
     """
-    head = getattr(net, "head", net)
+    head = net.head
     x, _ = stack_forward(head[:-1], np.concatenate([fa, fb]))
     last = head[-1]
     z0, z1 = (x @ last.weights.T + last.bias).tolist()
@@ -169,10 +166,15 @@ def compare_white_perspective(net: SiameseNetwork, pa: Position, pb: Position,
 # from White's perspective. The search layer inverts it for Black.
 
 class LearnedComparator:
-    """Model-backed comparator with an optional shared feature cache."""
+    """Model-backed comparator with an optional shared feature cache; a
+    net whose input is not the 773-bit encoding is refused."""
 
     def __init__(self, net: SiameseNetwork,
                  cache: Optional[FeatureCache] = None):
+        width = net.extractor.layers[0].in_dim
+        if width != VECTOR_BITS:
+            raise DimensionMismatch(f"model input width {width}, but a "
+                                    f"position encodes to {VECTOR_BITS} bits")
         self.net = net
         self.cache = cache
         self.calls = 0

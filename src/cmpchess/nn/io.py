@@ -19,7 +19,8 @@ import struct
 import numpy as np
 
 from ..fileformat import (
-    BadMagic, DimensionMismatch, NonFiniteValues, VersionMismatch, read_exact,
+    DimensionMismatch, NonFiniteValues, VersionMismatch, read_exact,
+    read_header, write_header,
 )
 from .layers import DenseLayer, LINEAR, RELU, SOFTMAX2
 from .model import FeatureExtractor, SiameseNetwork
@@ -33,8 +34,8 @@ _MAX_DIM = 1 << 20
 
 def _write_layers(path, layers) -> None:
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<HHH", MODEL_VERSION, 0, len(layers)))
+        write_header(f, MODEL_MAGIC, MODEL_VERSION)
+        f.write(struct.pack("<HH", 0, len(layers)))
         for layer in layers:
             f.write(struct.pack("<IIB", layer.in_dim, layer.out_dim,
                                 _ACT_CODES[layer.activation]))
@@ -44,12 +45,8 @@ def _write_layers(path, layers) -> None:
 
 def _read_layers(path) -> list:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MODEL_MAGIC:
-            raise BadMagic(f"expected {MODEL_MAGIC!r}, got {magic!r}")
-        version, flags, count = struct.unpack("<HHH", read_exact(f, 6, "header"))
-        if version != MODEL_VERSION:
-            raise VersionMismatch(f"file version {version}, reader supports {MODEL_VERSION}")
+        read_header(f, MODEL_MAGIC, MODEL_VERSION)
+        flags, count = struct.unpack("<HH", read_exact(f, 4, "header"))
         if flags != 0:
             raise VersionMismatch(f"unsupported flags {flags:#x} (byte-order marker?)")
         layers = []

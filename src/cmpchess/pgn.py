@@ -1,9 +1,10 @@
 """PGN reading and writing on top of the rules engine.
 
 Reading is a lazy single-pass stream: each well-formed game yields a
-(moves, outcome, tags) record; malformed games are skipped and reported
-through a callback, never aborting the stream. Only the mainline is kept;
-comments, variations and numeric annotations are dropped.
+(moves, outcome, tags, start) record; malformed games, a FEN tag that
+does not parse among them, are skipped and reported through a callback,
+never aborting the stream. Only the mainline is kept; comments,
+variations and numeric annotations are dropped.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
 from .board import (
     Color, GameOutcome, Move, Position, MalformedFEN, PieceType,
-    apply_move, legal_moves, parse_fen, square_name, startpos, to_fen,
-    STARTPOS_FEN,
+    apply_move, legal_moves, parse_fen, parse_square, square_name, startpos,
+    to_fen, FILES, STARTPOS_FEN,
 )
 
 
@@ -28,6 +29,7 @@ class PgnGame(NamedTuple):
     moves: list
     outcome: GameOutcome
     tags: dict
+    start: Position  # the FEN tag's position, else the standard start
 
 
 _TAG_RE = re.compile(r'\[\s*(\w+)\s+"((?:[^"\\]|\\.)*)"\s*\]')
@@ -64,10 +66,10 @@ def parse_san(p: Position, token: str) -> Move:
                 return move
         raise ValueError(f"{token!r} is not legal here")
 
-    target = (int(m.group("target")[1]) - 1) * 8 + "abcdefgh".index(m.group("target")[0])
+    target = parse_square(m.group("target"))
     piece = _PIECE_LETTERS[m.group("piece") or "P"]
     promo = _PIECE_LETTERS[m.group("promo")] if m.group("promo") else None
-    disfile = "abcdefgh".index(m.group("disfile")) if m.group("disfile") else None
+    disfile = FILES.index(m.group("disfile")) if m.group("disfile") else None
     disrank = int(m.group("disrank")) - 1 if m.group("disrank") else None
 
     matches = []
@@ -103,7 +105,7 @@ def to_san(p: Position, move: Move) -> str:
         if kind == PieceType.PAWN:
             san = ""
             if move.capture:
-                san += "abcdefgh"[move.from_sq & 7] + "x"
+                san += FILES[move.from_sq & 7] + "x"
             san += square_name(move.to_sq)
             if move.promotion is not None:
                 san += "=" + _LETTER_OF[PieceType(move.promotion)]
@@ -117,7 +119,7 @@ def to_san(p: Position, move: Move) -> str:
                 same_file = any((m.from_sq & 7) == (move.from_sq & 7) for m in rivals)
                 same_rank = any((m.from_sq >> 3) == (move.from_sq >> 3) for m in rivals)
                 if not same_file:
-                    san += "abcdefgh"[move.from_sq & 7]
+                    san += FILES[move.from_sq & 7]
                 elif not same_rank:
                     san += str((move.from_sq >> 3) + 1)
                 else:
@@ -196,7 +198,7 @@ def _replay(tokens: list[str], start: Position):
 def parse_pgn(stream: TextIO,
               on_malformed: Optional[Callable[[MalformedPGN], None]] = None
               ) -> Iterator[PgnGame]:
-    """Yield (moves, outcome, tags) per game, lazily.
+    """Yield (moves, outcome, tags, start) per game, lazily.
 
     Malformed games are passed to `on_malformed` (if given) and skipped;
     the stream continues with the next game.
@@ -244,9 +246,9 @@ def parse_pgn(stream: TextIO,
 
 
 def _assemble(tags: dict, movetext: str, idx: int) -> PgnGame:
-    if tags.get("FEN"):
+    if "FEN" in tags:
         try:
-            start = parse_fen(tags["FEN"].strip())
+            start = parse_fen(tags["FEN"])
         except MalformedFEN as err:
             raise MalformedPGN(f"bad FEN tag: {err}", idx) from None
     else:
@@ -262,7 +264,7 @@ def _assemble(tags: dict, movetext: str, idx: int) -> PgnGame:
             outcome = _RESULTS[tag]
         else:
             raise MalformedPGN("missing result", idx)
-    return PgnGame(moves, outcome, tags)
+    return PgnGame(moves, outcome, tags, start)
 
 
 def write_pgn(out: TextIO, moves: list, outcome: GameOutcome,

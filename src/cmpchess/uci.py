@@ -2,9 +2,9 @@
 
 Implements the protocol subset an automated harness or standard GUI
 needs: `uci`, `isready`, `ucinewgame`, `position`, `go` (depth,
-movetime, or clock times), `setoption`, `quit`. The loop never crashes
-on malformed input and never emits an illegal bestmove; anything it
-cannot act on is answered with an `info string` diagnostic.
+movetime, clock times, nodes), `setoption`, `quit`. The loop never
+crashes on malformed input and never emits an illegal bestmove; anything
+it cannot act on is answered with an `info string` diagnostic.
 
 A clock-limited `go` budgets each move with `search.clock_limits`. A
 small fraction of `movetime` is kept back so the abort check and reply
@@ -115,21 +115,26 @@ def _parse_go_limits(tokens, p: Position, default_depth: int) -> SearchLimits:
         i += 1
 
     # a limit counts when it is given with a number, zero included
-    if args.get("depth") is not None:
-        return SearchLimits(max_depth=max(1, args["depth"]))
-    if args.get("movetime") is not None:
-        # hold back 20% for the abort check and the reply itself
-        budget = args["movetime"] / 1000.0 * 0.8
-        return SearchLimits(max_depth=default_depth,
-                            soft_time=budget, hard_time=budget)
+    nodes = args.get("nodes")  # a cap on top of any other limit
     clock, inc = (("wtime", "winc") if p.side_to_move == Color.WHITE
                   else ("btime", "binc"))
-    if args.get(clock) is not None:
-        return clock_limits(args[clock] / 1000.0, default_depth,
-                            (args.get(inc) or 0) / 1000.0)
-    # bare "go": think for about a second
-    return SearchLimits(max_depth=default_depth, soft_time=1.0,
-                        hard_time=2.0)
+    if args.get("depth") is not None:
+        limits = SearchLimits(max_depth=max(1, args["depth"]))
+    elif args.get("movetime") is not None:
+        # hold back 20% for the abort check and the reply itself
+        budget = args["movetime"] / 1000.0 * 0.8
+        limits = SearchLimits(max_depth=default_depth,
+                              soft_time=budget, hard_time=budget)
+    elif args.get(clock) is not None:
+        limits = clock_limits(args[clock] / 1000.0, default_depth,
+                              (args.get(inc) or 0) / 1000.0)
+    elif nodes is not None:
+        limits = SearchLimits(max_depth=default_depth)
+    else:
+        # bare "go": think for about a second
+        limits = SearchLimits(max_depth=default_depth, soft_time=1.0,
+                              hard_time=2.0)
+    return replace(limits, node_cap=nodes)
 
 
 def _handle_position(session: _Session, tokens: list) -> None:

@@ -14,6 +14,7 @@ from cmpchess.cli import (
 )
 from cmpchess.inference import MaterialComparator
 from cmpchess.match import MatchSpec, run_match
+from cmpchess.nn import init_siamese, save_model
 from cmpchess.search import SearchLimits, search_root
 from cmpchess.uci import EngineConfig
 
@@ -143,6 +144,19 @@ class TestPipeline:
         assert f"skipped malformed game in {pgn}: game 1:" in captured.err
         assert "Ke3" in captured.err
 
+    @pytest.mark.parametrize("fen", ["", "  "])
+    def test_extract_skips_a_blank_fen_tag(self, corpus_pgn, tmp_path,
+                                           capsys, fen):
+        good = corpus_pgn.read_text().split("\n\n[")[0] + "\n\n"
+        blank = f'[FEN "{fen}"]\n[Result "1-0"]\n\n1. e4 e5 1-0\n\n'
+        pgn = tmp_path / "blank.pgn"
+        pgn.write_text(good + blank)
+        data = tmp_path / "blank.bin"
+        assert main(["extract", "--pgn", str(pgn), "--out", str(data)]) == 0
+        captured = capsys.readouterr()
+        assert "read 1 games (1 decisive), skipped 1 malformed" in captured.out
+        assert "game 1: bad FEN tag" in captured.err
+
     def test_max_games_cap(self, corpus_pgn, tmp_path, capsys):
         data = tmp_path / "capped.bin"
         assert main(["extract", "--pgn", str(corpus_pgn), "--out", str(data),
@@ -260,6 +274,17 @@ class TestOperation:
         assert per_node == [f"{cmp.calls / result.nodes:.2f}"] * 2
         assert re.search(r"^perft 3 from startpos: 8902 leaves, [\d,]+ "
                          r"leaves/sec$", out, re.MULTILINE)
+
+    def test_bench_refuses_a_model_of_the_wrong_width(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "w500.dchs"
+        save_model(init_siamese((500, 8, 4), (8, 2), seed=0), path)
+        assert main(["bench", "--comparator", "learned", "--model",
+                     str(path), "--depth", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "calls/sec" not in captured.out
+        assert ("DimensionMismatch: model input width 500, but a position "
+                "encodes to 773 bits") in captured.err
 
     def test_audit_material_acyclic(self, capsys):
         assert main(["audit", "--comparator", "material",

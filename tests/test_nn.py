@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import struct
+
 from cmpchess.fileformat import (
-    BadMagic, DimensionMismatch, NonFiniteValues, VersionMismatch,
+    BadMagic, DimensionMismatch, NonFiniteValues, TruncatedFile,
+    VersionMismatch,
 )
 from cmpchess.nn import (
     AutoEncoder, DenseLayer, FeatureExtractor, NonFiniteLoss, SiameseNetwork,
@@ -15,6 +18,19 @@ from cmpchess.nn.io import _write_layers
 from cmpchess.nn.layers import init_layer, softmax_rows, stack_forward
 from cmpchess.nn.model import init_extractor, init_head
 from oracles import finite_difference, relative_error
+
+
+def old_write_layers(path, layers):
+    """The model writer as it was before it shared the dataset header code."""
+    with open(path, "wb") as f:
+        f.write(b"DCHS")
+        f.write(struct.pack("<HHH", 1, 0, len(layers)))
+        for layer in layers:
+            f.write(struct.pack("<IIB", layer.in_dim, layer.out_dim,
+                                {"relu": 0, "linear": 1,
+                                 "softmax2": 2}[layer.activation]))
+            f.write(np.ascontiguousarray(layer.weights, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(layer.bias, dtype="<f4").tobytes())
 
 
 def tiny_net(seed=0, dtype=np.float64):
@@ -211,6 +227,25 @@ class TestModelFile:
         assert back.dims == ext.dims
         assert all((a.weights == b.weights).all()
                    for a, b in zip(ext.layers, back.layers))
+
+    def test_bytes_as_the_former_writer(self, tmp_path):
+        net = init_siamese((773, 20, 10), (8, 4, 2), seed=42)
+        layers = list(net.extractor.layers) + list(net.head)
+        save_model(net, tmp_path / "new.dchs")
+        old_write_layers(tmp_path / "old.dchs", layers)
+        assert ((tmp_path / "new.dchs").read_bytes()
+                == (tmp_path / "old.dchs").read_bytes())
+
+    def test_truncated_header_is_a_dimension_mismatch(self, tmp_path):
+        net = init_siamese((9, 4), (3, 2), seed=0)
+        path = tmp_path / "net.dchs"
+        save_model(net, path)
+        raw = path.read_bytes()
+        for cut in range(4, 10):  # inside the version, flags or count
+            path.write_bytes(raw[:cut])
+            with pytest.raises(TruncatedFile):
+                load_model(path)
+        assert issubclass(TruncatedFile, DimensionMismatch)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.dchs"

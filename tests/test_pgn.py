@@ -29,6 +29,7 @@ def test_two_games_and_result_mapping():
     assert games[1].outcome == GameOutcome.DRAW
     assert games[0].tags["Event"] == "A"
     assert len(games[0].moves) == 7
+    assert games[0].start == games[1].start == startpos()
 
 
 def test_pawn_capture_disambiguated_by_file():
@@ -83,6 +84,7 @@ def test_setup_fen_tag_honored():
 """
     (game,) = parse_pgn(io.StringIO(text))
     assert [m.uci() for m in game.moves] == ["e2e4", "e8d7"]
+    assert game.start == parse_fen("4k3/8/8/8/8/8/4P3/4K3 w - - 0 1")
 
 
 def test_result_from_tag_when_terminator_missing():

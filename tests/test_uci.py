@@ -12,7 +12,7 @@ from cmpchess.board import Move, apply_move, legal_moves, parse_fen, \
     startpos
 from cmpchess.inference import MaterialComparator
 from cmpchess.nn import init_siamese, save_model
-from cmpchess.search import clock_limits
+from cmpchess.search import SearchLimits, clock_limits
 from cmpchess.uci import EngineConfig, _Session, _handle_position, \
     _parse_go_limits, build_comparator, engine_label, uci_loop
 
@@ -212,6 +212,22 @@ class TestGoLimits:
         assert limits == clock_limits(3.0, 64, 0.6)
         assert limits.soft_time == pytest.approx(0.1 + 0.3)
 
+    def test_nodes_sets_the_node_cap(self):
+        assert go_limits("go nodes 1000") == SearchLimits(max_depth=64,
+                                                          node_cap=1000)
+        assert go_limits("go depth 3 nodes 50") == SearchLimits(
+            max_depth=3, node_cap=50)
+        assert go_limits("go movetime 500 nodes 0").node_cap == 0
+        assert go_limits("go").node_cap is None
+
+    def test_nodes_caps_the_search(self):
+        out = run_lines(["position startpos", "go depth 5 nodes 100",
+                         "quit"])
+        (info,) = [line for line in out if line.startswith("info depth")]
+        assert int(info.split()[2]) < 5
+        (bm,) = bestmoves(out)
+        assert Move.from_uci(bm) in legal_moves(startpos())
+
     def test_no_increment_keeps_the_old_budget(self):
         for remaining in (-1.0, 0.0, 0.5, 3.0, 60.0):
             soft = max(remaining, 0.001) / 30.0
@@ -249,6 +265,20 @@ class TestSetOption:
                          "quit"])
         (diag,) = [line for line in out if "falling back" in line]
         assert diag.startswith("info string") and "layer 1" in diag
+        (bm,) = bestmoves(out)
+        assert Move.from_uci(bm) in legal_moves(startpos())
+
+    @pytest.mark.parametrize("width", [500, 800])
+    def test_wrong_width_model_falls_back_at_isready(self, tmp_path, width):
+        path = tmp_path / f"w{width}.dchs"
+        save_model(init_siamese((width, 8, 4), (8, 2), seed=0), path)
+        out = run_lines([f"setoption name ModelPath value {path}",
+                         "isready", "position startpos", "go depth 1",
+                         "quit"])
+        (diag,) = [line for line in out if line.startswith("info string")]
+        assert "falling back" in diag
+        assert f"model input width {width}" in diag and "773 bits" in diag
+        assert out.index("readyok") > out.index(diag)
         (bm,) = bestmoves(out)
         assert Move.from_uci(bm) in legal_moves(startpos())
 
