@@ -683,7 +683,11 @@ def _legal_key_map(p: Position) -> dict[int, Move]:
 
 
 def find_legal(p: Position, move: Move) -> Optional[Move]:
-    """Resolve a bare (from, to, promotion) move against the legal list."""
+    """Resolve a move against the legal list: a generated move of p is
+    itself, and a bare (from, to, promotion) move is looked up by key."""
+    for m in legal_moves(p):
+        if m is move:  # a generated Move is a value, never reassigned
+            return move
     return _legal_key_map(p).get(move.key())
 
 

@@ -346,8 +346,8 @@ def cmd_bench(args) -> int:
     classify(warm, "cached")
 
     if cfg.comparator == "learned":
-        net = load_model(cfg.model_path)
-        first = net.extractor.layers[0]
+        # the column-major first layer the comparator itself reads
+        first = warm.net.extractor.layers[0]
         began = time.perf_counter()
         for p in positions:
             sparse_affine(first, active_bits(p))

@@ -24,13 +24,15 @@ class InconsistentVector(ValueError):
     pass
 
 
+# _PLANE_BASE[cell]: the first bit of a nonzero cell's piece plane, indexed
+# by the signed cell itself (-6..6, a black cell counting from the end)
+_PLANE_BASE = tuple(64 * piece_plane(cell) if cell else 0
+                    for cell in (*range(7), *range(-6, 0)))
+
+
 def active_bits(p: Position) -> list[int]:
     """Sorted indices of the set bits of encode(p), without materializing it."""
-    bits = []
-    for sq in range(64):
-        cell = p.board[sq]
-        if cell:
-            bits.append(piece_plane(cell) * 64 + sq)
+    bits = [_PLANE_BASE[cell] + sq for sq, cell in enumerate(p.board) if cell]
     if p.side_to_move == Color.WHITE:
         bits.append(768)
     for i in range(4):

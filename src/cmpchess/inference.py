@@ -6,6 +6,13 @@ weight columns beats a dense matvec), a fixed-size feature cache keyed
 by the position's Zobrist hash, and the pairwise comparison operations
 the search tree is built on.
 
+`LearnedComparator` runs these on a view of its net whose first layer
+holds a column-major (Fortran-order) copy of the same weights, so the
+sparse product reads each active column as one contiguous run; the
+dense layers and the head are the net's own objects, run through the
+cache-free `nn.layers.forward`. Every feature and logit is bit for bit
+what the net itself computes.
+
 All comparisons here are from White's perspective; callers acting for
 Black invert the result. The verdict is read from the head's two output
 logits, which the softmax only rescales; an exact logit tie resolves to
@@ -25,8 +32,8 @@ import numpy as np
 from .board import Position
 from .encoding import VECTOR_BITS, active_bits
 from .fileformat import DimensionMismatch
-from .nn.layers import DenseLayer, RELU, stack_forward
-from .nn.model import SiameseNetwork
+from .nn.layers import DenseLayer, RELU, forward, relu_in_place
+from .nn.model import FeatureExtractor, SiameseNetwork
 
 
 class IndexOutOfRange(IndexError):
@@ -126,9 +133,10 @@ def features_of(p: Position, net: SiameseNetwork,
             return hit
     layers = net.extractor.layers
     first = layers[0]
-    z = sparse_affine(first, active_bits(p))
-    x = np.maximum(z, 0) if first.activation == RELU else z
-    x, _ = stack_forward(layers[1:], x)
+    x = sparse_affine(first, active_bits(p))  # a fresh array, never shared
+    if first.activation == RELU:
+        relu_in_place(x)
+    x = forward(layers[1:], x)
     if cache is not None:
         cache.put(p.zobrist, x)
     return x
@@ -143,7 +151,7 @@ def compare(net: SiameseNetwork, fa: np.ndarray, fb: np.ndarray) -> tuple:
     1 / (1 + exp(-|z0 - z1|)), so no softmax is computed.
     """
     head = net.head
-    x, _ = stack_forward(head[:-1], np.concatenate([fa, fb]))
+    x = forward(head[:-1], np.concatenate([fa, fb]))
     last = head[-1]
     z0, z1 = (x @ last.weights.T + last.bias).tolist()
     confidence = 1.0 / (1.0 + math.exp(-abs(z0 - z1)))
@@ -167,15 +175,27 @@ def compare_white_perspective(net: SiameseNetwork, pa: Position, pb: Position,
 
 class LearnedComparator:
     """Model-backed comparator with an optional shared feature cache; a
-    net whose input is not the 773-bit encoding is refused."""
+    net whose input is not the 773-bit encoding is refused.
+
+    `self.net` is a view of the given net: its first extractor layer is a
+    column-major copy of the net's first-layer weights (sharing the bias
+    array), and every other layer is the net's own object. So the
+    comparator reads the first-layer weights as they were when it was
+    built; a net trained further needs a new comparator. The given net
+    is never written.
+    """
 
     def __init__(self, net: SiameseNetwork,
                  cache: Optional[FeatureCache] = None):
-        width = net.extractor.layers[0].in_dim
-        if width != VECTOR_BITS:
-            raise DimensionMismatch(f"model input width {width}, but a "
-                                    f"position encodes to {VECTOR_BITS} bits")
-        self.net = net
+        first, *rest = net.extractor.layers
+        if first.in_dim != VECTOR_BITS:
+            raise DimensionMismatch(f"model input width {first.in_dim}, but "
+                                    f"a position encodes to {VECTOR_BITS} "
+                                    f"bits")
+        columns = DenseLayer(np.asfortranarray(first.weights), first.bias,
+                             first.activation)
+        self.net = SiameseNetwork(FeatureExtractor([columns] + rest),
+                                  net.head)
         self.cache = cache
         self.calls = 0
 

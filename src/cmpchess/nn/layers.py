@@ -80,11 +80,43 @@ def log_softmax_rows(z: np.ndarray) -> np.ndarray:
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+# relu's floor as a 0-d array: np.maximum takes it without the per-call
+# scalar conversion of the Python 0, and the result has the same bits
+_RELU_FLOOR = np.zeros((), np.float32)
+
+
+def relu_in_place(z: np.ndarray) -> np.ndarray:
+    """np.maximum(z, 0) written into z; returns z."""
+    return np.maximum(z, _RELU_FLOOR, out=z)
+
+
+def forward(layers, x: np.ndarray) -> np.ndarray:
+    """Output of a layer stack, for inference: no backward cache.
+
+    Each layer is a matmul, then the bias added and the activation
+    applied in place on the fresh product, so the output is bit for bit
+    `stack_forward(layers, x)[0]` for layers whose bias has the weights'
+    dtype, as every built or loaded net does. An empty stack returns `x`
+    itself.
+    """
+    a = x
+    for layer in layers:
+        z = a @ layer.weights.T
+        z += layer.bias
+        if layer.activation == RELU:
+            relu_in_place(z)
+        elif layer.activation == SOFTMAX2:
+            z = softmax_rows(z)
+        a = z
+    return a
+
+
 def stack_forward(layers, x: np.ndarray):
-    """Run a batch through a layer stack.
+    """Run a batch through a layer stack, for training.
 
     Returns (output, cache); cache holds (input, preactivation) per layer
-    for the backward pass.
+    for the backward pass. Inference that needs only the output calls
+    `forward`.
     """
     cache = []
     a = x

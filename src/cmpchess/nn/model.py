@@ -14,7 +14,7 @@ import numpy as np
 
 from .layers import (
     DenseLayer, LINEAR, RELU, SOFTMAX2, check_finite, init_layer,
-    log_softmax_rows, stack_backward, stack_forward,
+    forward as stack_output, log_softmax_rows, stack_backward, stack_forward,
 )
 
 
@@ -46,8 +46,7 @@ class FeatureExtractor:
         return (self.in_dim,) + tuple(l.out_dim for l in self.layers)
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        out, _ = stack_forward(self.layers, np.asarray(x, self.dtype))
-        return out
+        return stack_output(self.layers, np.asarray(x, self.dtype))
 
     @property
     def dtype(self):
@@ -123,10 +122,9 @@ def init_siamese(extractor_dims: Sequence[int], head_sizes: Sequence[int],
 def forward_pairs(net: SiameseNetwork, a, b) -> np.ndarray:
     """Batched probability rows; column 0 = P(first position is the W side)."""
     dtype = net.dtype
-    fa, _ = stack_forward(net.extractor.layers, np.asarray(a, dtype))
-    fb, _ = stack_forward(net.extractor.layers, np.asarray(b, dtype))
-    out, _ = stack_forward(net.head, np.concatenate([fa, fb], axis=1))
-    return out
+    fa = stack_output(net.extractor.layers, np.asarray(a, dtype))
+    fb = stack_output(net.extractor.layers, np.asarray(b, dtype))
+    return stack_output(net.head, np.concatenate([fa, fb], axis=1))
 
 
 def forward(net: SiameseNetwork, a, b) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 Implements the protocol subset an automated harness or standard GUI
 needs: `uci`, `isready`, `ucinewgame`, `position`, `go` (depth,
-movetime, clock times, nodes), `setoption`, `quit`. The loop never
-crashes on malformed input and never emits an illegal bestmove; anything
-it cannot act on is answered with an `info string` diagnostic.
+movetime, clock times, nodes), `setoption`, `stop`, `quit`. The loop
+never crashes on malformed input and never emits an illegal bestmove;
+anything it cannot act on is answered with an `info string` diagnostic,
+including any other `go` argument (`infinite`, `ponder`, `mate`,
+`searchmoves`, ...), which is named and ignored. A search runs to its
+limits before the next command is read, so `stop` finds the engine idle
+and is accepted without a reply.
 
 A clock-limited `go` budgets each move with `search.clock_limits`. A
 small fraction of `movetime` is kept back so the abort check and reply
@@ -99,20 +103,29 @@ class _Session:
         return self.comparator
 
 
-def _parse_go_limits(tokens, p: Position, default_depth: int) -> SearchLimits:
+# the `go` arguments acted on; any other is named as not supported
+_GO_LIMITS = ("depth", "movetime", "wtime", "btime", "winc", "binc", "nodes")
+
+
+def _parse_go_limits(tokens, p: Position, default_depth: int) -> tuple:
+    """(SearchLimits, unsupported): the limits `go <tokens>` asks for, and
+    the tokens outside _GO_LIMITS, with any number that follows one."""
     args = {}
+    unsupported = []
     i = 0
     while i < len(tokens):
         name = tokens[i]
+        value = None
         if i + 1 < len(tokens):
             try:
-                args[name] = int(tokens[i + 1])
-                i += 2
-                continue
+                value = int(tokens[i + 1])
             except ValueError:
                 pass
-        args[name] = None
-        i += 1
+        args[name] = value
+        taken = 1 if value is None else 2
+        if name not in _GO_LIMITS:
+            unsupported += tokens[i:i + taken]
+        i += taken
 
     # a limit counts when it is given with a number, zero included
     nodes = args.get("nodes")  # a cap on top of any other limit
@@ -134,7 +147,7 @@ def _parse_go_limits(tokens, p: Position, default_depth: int) -> SearchLimits:
         # bare "go": think for about a second
         limits = SearchLimits(max_depth=default_depth, soft_time=1.0,
                               hard_time=2.0)
-    return replace(limits, node_cap=nodes)
+    return replace(limits, node_cap=nodes), unsupported
 
 
 def _handle_position(session: _Session, tokens: list) -> None:
@@ -199,7 +212,9 @@ def _handle_go(session: _Session, tokens: list) -> None:
         session.diag("no legal moves in the current position")
         session.say("bestmove 0000")
         return
-    limits = _parse_go_limits(tokens, p, session.cfg.max_depth)
+    limits, unsupported = _parse_go_limits(tokens, p, session.cfg.max_depth)
+    if unsupported:
+        session.diag(f"go: not supported, ignored: {' '.join(unsupported)}")
     cmp = session.ensure_comparator()
     try:
         began = time.monotonic()
@@ -258,6 +273,8 @@ def uci_loop(cfg: EngineConfig, inp: TextIO | None = None,
                 _handle_go(session, rest)
             elif cmd == "setoption":
                 _handle_setoption(session, rest)
+            elif cmd == "stop":
+                pass  # `go` returns before the next command is read
             else:
                 session.diag(f"unknown command {cmd!r}")
         except Exception as exc:

@@ -5,7 +5,8 @@ import pytest
 from cmpchess.board import (
     BLACK, WHITE, Color, Move, MalformedFEN, IllegalMove, Position,
     parse_fen, to_fen, startpos, legal_moves, apply_move, perft,
-    compute_zobrist, parse_square, square_name, STARTPOS_FEN,
+    compute_zobrist, parse_square, square_name, STARTPOS_FEN, find_legal,
+    make_move,
 )
 from oracles import naive_legal_uci, naive_perft
 
@@ -157,6 +158,41 @@ class TestApplyMove:
         ]:
             with pytest.raises(IllegalMove):
                 apply_move(parse_fen(fen), Move.from_uci(uci))
+
+    def test_a_generated_move_resolves_to_itself(self, playout_positions):
+        for p in playout_positions[::9]:
+            for m in legal_moves(p):
+                assert find_legal(p, m) is m
+
+    @pytest.mark.parametrize("fen, uci, flag", [
+        ("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1", "e1g1", "castle"),
+        ("r3k2r/8/8/8/8/8/8/R3K2R b KQkq - 0 1", "e8c8", "castle"),
+        ("4k3/8/8/3pP3/8/8/8/4K3 w - d6 0 1", "e5d6", "en_passant"),
+        ("4k3/8/8/8/8/8/4P3/4K3 w - - 0 1", "e2e4", "double_push"),
+        ("4k3/P7/8/8/8/8/8/4K3 w - - 0 1", "a7a8q", "promotion"),
+    ])
+    def test_a_bare_move_resolves_to_the_flagged_move(self, fen, uci, flag):
+        p = parse_fen(fen)
+        bare = Move.from_uci(uci)
+        found = find_legal(p, bare)
+        assert found is not bare
+        assert any(found is m for m in legal_moves(p))
+        assert getattr(found, flag)
+        assert apply_move(p, bare).zobrist == make_move(p, found).zobrist
+
+    def test_a_generated_move_of_another_position(self):
+        # e4-d5 is quiet in one position and a capture in the other: a
+        # different object, so it resolves by key to the flagged capture
+        quiet = parse_fen("4k3/8/8/8/4B3/8/8/4K3 w - - 0 1")
+        move = next(m for m in legal_moves(quiet) if m.uci() == "e4d5")
+        assert not move.capture
+        busy = parse_fen("4k3/8/8/3p4/4B3/8/8/4K3 w - - 0 1")
+        found = find_legal(busy, move)
+        assert found is not move and found.capture
+        for fen in ("4k3/8/8/3P4/4B3/8/8/4K3 w - - 0 1",  # own pawn there
+                    "4k3/8/8/8/4B3/8/8/4K3 b - - 0 1"):  # Black to move
+            with pytest.raises(IllegalMove):
+                apply_move(parse_fen(fen), move)
 
     def test_positions_are_fresh_objects(self):
         p = startpos()

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from cmpchess import cli
 from cmpchess.board import apply_move, legal_moves, startpos, to_fen
 from cmpchess.cli import (
     BENCH_PAIRS, UsageError, _clock, _playouts, engine_config_from,
@@ -274,6 +275,25 @@ class TestOperation:
         assert per_node == [f"{cmp.calls / result.nodes:.2f}"] * 2
         assert re.search(r"^perft 3 from startpos: 8902 leaves, [\d,]+ "
                          r"leaves/sec$", out, re.MULTILINE)
+
+    def test_bench_times_the_comparators_own_first_layer(
+            self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "small.dchs"
+        save_model(init_siamese((773, 8, 4), (8, 2), seed=0), path)
+        timed = []
+        inner = cli.sparse_affine
+
+        def recorded(layer, bits):
+            timed.append(layer)
+            return inner(layer, bits)
+
+        monkeypatch.setattr(cli, "sparse_affine", recorded)
+        assert main(["bench", "--comparator", "learned", "--model",
+                     str(path), "--depth", "1"]) == 0
+        assert "sparse vs dense first layer" in capsys.readouterr().out
+        assert len(timed) == 2 * BENCH_PAIRS
+        assert len({id(layer) for layer in timed}) == 1
+        assert timed[0].weights.flags.f_contiguous
 
     def test_bench_refuses_a_model_of_the_wrong_width(self, tmp_path,
                                                        capsys):

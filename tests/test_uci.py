@@ -173,8 +173,9 @@ class TestMaterialScoreMemo:
 
 
 def go_limits(command, p=None, default_depth=64):
-    return _parse_go_limits(command.split()[1:], p or startpos(),
-                            default_depth)
+    limits, _ = _parse_go_limits(command.split()[1:], p or startpos(),
+                                 default_depth)
+    return limits
 
 
 class TestGoLimits:
@@ -233,6 +234,37 @@ class TestGoLimits:
             soft = max(remaining, 0.001) / 30.0
             limits = clock_limits(remaining, 64)
             assert (limits.soft_time, limits.hard_time) == (soft, 2 * soft)
+
+
+class TestUnsupportedGo:
+    """`go` arguments outside the documented set are named, not obeyed."""
+
+    @pytest.mark.parametrize("command, named", [
+        ("go mate 2 depth 1", "mate 2"),
+        ("go ponder depth 1", "ponder"),
+        ("go infinite depth 1", "infinite"),
+        ("go movestogo 30 depth 1", "movestogo 30"),
+        ("go searchmoves a2a3 b2b3 depth 1", "searchmoves a2a3 b2b3"),
+    ])
+    def test_named_once_and_searched_with_the_documented_limits(
+            self, command, named):
+        out = run_lines(["position startpos", command, "quit"])
+        notes = [l for l in out if l.startswith("info string")]
+        assert notes == [f"info string go: not supported, ignored: {named}"]
+        assert any(l.startswith("info depth 1 ") for l in out)
+        (bm,) = bestmoves(out)
+        assert Move.from_uci(bm) in legal_moves(startpos())
+        assert _parse_go_limits(command.split()[1:], startpos(), 64) \
+            == (SearchLimits(max_depth=1), named.split())
+
+    def test_documented_arguments_are_not_named(self):
+        for command in ("go depth 2", "go movetime 50", "go nodes 10",
+                        "go wtime 1000 btime 1000 winc 10 binc 10"):
+            assert _parse_go_limits(command.split()[1:], startpos(),
+                                    64)[1] == []
+
+    def test_idle_stop_is_accepted_silently(self):
+        assert run_lines(["stop", "isready", "stop", "quit"]) == ["readyok"]
 
 
 class TestSetOption:
