@@ -55,6 +55,10 @@ _BOOLS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
 
 ENGINE_KEYS = tuple(f.name for f in fields(EngineConfig))
+# how a config or flag value is read; a key left out keeps its
+# EngineConfig default
+_ENGINE_KEY_TYPES = {"model_path": lambda v: v or None, "cache_mb": float,
+                     "comparator": str, "seed": int, "max_depth": int}
 MATCH_KEYS = ("games", "max_plies", "time_per_game", "openings",
               "alternate_colors", "pgn_out")
 
@@ -107,12 +111,8 @@ def engine_config_from(cfg: dict, prefix: str = "",
         if value is not None:
             merged[key] = value
     try:
-        return EngineConfig(
-            model_path=merged.get("model_path") or None,
-            cache_mb=float(merged.get("cache_mb", 32.0)),
-            comparator=str(merged.get("comparator", "material")),
-            seed=int(merged.get("seed", 0)),
-            max_depth=int(merged.get("max_depth", 64)))
+        return EngineConfig(**{key: _ENGINE_KEY_TYPES[key](value)
+                               for key, value in merged.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

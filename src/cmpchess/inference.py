@@ -9,9 +9,10 @@ the search tree is built on.
 `LearnedComparator` runs these on a view of its net whose first layer
 holds a column-major (Fortran-order) copy of the same weights, so the
 sparse product reads each active column as one contiguous run; the
-dense layers and the head are the net's own objects, run through the
-cache-free `nn.layers.forward`. Every feature and logit is bit for bit
-what the net itself computes.
+dense layers and the head are the net's own objects, run through
+`nn.layers.forward`, the one forward pass, which keeps nothing for a
+backward pass unless asked. Every feature and logit is bit for bit what
+the net itself computes.
 
 All comparisons here are from White's perspective; callers acting for
 Black invert the result. The verdict is read from the head's two output

@@ -1,9 +1,11 @@
-"""Dense layers and the forward/backward primitives they share.
+"""Dense layers and the one forward pass and backward pass they share.
 
-Weights are (out_dim, in_dim); a batch forward is X @ W.T + b. The
-softmax2 activation is reserved for the 2-way output layer of a head and
-is always paired with cross-entropy at the loss site, so no standalone
-softmax derivative exists here.
+Weights are (out_dim, in_dim); a batch forward is X @ W.T + b. `forward`
+is the only code that runs a layer: search, scoring and every training
+loss call it, and training asks it to keep what `stack_backward` needs.
+The softmax2 activation is reserved for the 2-way output layer of a head
+and is always paired with cross-entropy at the loss site, so no
+standalone softmax derivative exists here.
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ def init_layer(in_dim: int, out_dim: int, activation: str,
     return DenseLayer(w, b, activation)
 
 
-def _activate(activation: str, z: np.ndarray) -> np.ndarray:
-    if activation == RELU:
-        return np.maximum(z, 0)
-    if activation == LINEAR:
-        return z
-    return softmax_rows(z)
-
-
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     # Non-finite preactivations produce NaN here; the loss site turns that
     # into NonFiniteLoss, so the intermediate numpy warning is just noise.
@@ -90,19 +84,23 @@ def relu_in_place(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, _RELU_FLOOR, out=z)
 
 
-def forward(layers, x: np.ndarray) -> np.ndarray:
-    """Output of a layer stack, for inference: no backward cache.
+def forward(layers, x: np.ndarray, kept: list | None = None) -> np.ndarray:
+    """Output of a layer stack.
 
     Each layer is a matmul, then the bias added and the activation
-    applied in place on the fresh product, so the output is bit for bit
-    `stack_forward(layers, x)[0]` for layers whose bias has the weights'
-    dtype, as every built or loaded net does. An empty stack returns `x`
-    itself.
+    applied in place on the fresh product. Given a list, `kept`, each
+    layer appends (input, z) to it for `stack_backward`: z is the
+    layer's own array, so after a relu it holds relu(z), which is > 0
+    exactly where the preactivation was, and for softmax2 it holds the
+    logits, since the softmax is not done in place. An empty stack
+    returns `x` itself; `x` is never written.
     """
     a = x
     for layer in layers:
         z = a @ layer.weights.T
         z += layer.bias
+        if kept is not None:
+            kept.append((a, z))
         if layer.activation == RELU:
             relu_in_place(z)
         elif layer.activation == SOFTMAX2:
@@ -111,36 +109,21 @@ def forward(layers, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def stack_forward(layers, x: np.ndarray):
-    """Run a batch through a layer stack, for training.
-
-    Returns (output, cache); cache holds (input, preactivation) per layer
-    for the backward pass. Inference that needs only the output calls
-    `forward`.
-    """
-    cache = []
-    a = x
-    for layer in layers:
-        z = a @ layer.weights.T + layer.bias
-        cache.append((a, z))
-        a = _activate(layer.activation, z)
-    return a, cache
-
-
-def stack_backward(layers, cache, delta: np.ndarray,
+def stack_backward(layers, kept, delta: np.ndarray,
                    need_input_grad: bool = False):
-    """Backpropagate through a stack.
+    """Backpropagate through a stack, given what `forward` kept.
 
     `delta` is the gradient at the stack output. A softmax2 output is
     always paired with cross-entropy, so there `delta` is already the
     gradient with respect to the preactivation; through relu and linear
-    layers it is the gradient with respect to the layer's output. Returns
+    layers it is the gradient with respect to the layer's output, and a
+    relu passes it where its kept output is > 0. Returns
     ([(dW, db) per layer], input gradient or None).
     """
     grads: list = [None] * len(layers)
     da = delta
     for i in range(len(layers) - 1, -1, -1):
-        a_in, z = cache[i]
+        a_in, z = kept[i]
         layer = layers[i]
         dz = da * (z > 0) if layer.activation == RELU else da
         grads[i] = (dz.T @ a_in, dz.sum(axis=0))

@@ -3,7 +3,8 @@
 The Siamese network holds exactly one FeatureExtractor instance; both
 inputs of a pair run through that same object, so the weights are shared
 by construction and gradients from the two branches accumulate into one
-parameter set.
+parameter set. Every pass here, scoring and both losses, runs the one
+`layers.forward`; the losses keep what it computed for the backward pass.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .layers import (
-    DenseLayer, LINEAR, RELU, SOFTMAX2, check_finite, init_layer,
-    forward as stack_output, log_softmax_rows, stack_backward, stack_forward,
+    DenseLayer, LINEAR, RELU, SOFTMAX2, check_finite, forward, init_layer,
+    log_softmax_rows, stack_backward,
 )
 
 
@@ -44,9 +45,6 @@ class FeatureExtractor:
     @property
     def dims(self) -> tuple:
         return (self.in_dim,) + tuple(l.out_dim for l in self.layers)
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        return stack_output(self.layers, np.asarray(x, self.dtype))
 
     @property
     def dtype(self):
@@ -122,14 +120,9 @@ def init_siamese(extractor_dims: Sequence[int], head_sizes: Sequence[int],
 def forward_pairs(net: SiameseNetwork, a, b) -> np.ndarray:
     """Batched probability rows; column 0 = P(first position is the W side)."""
     dtype = net.dtype
-    fa = stack_output(net.extractor.layers, np.asarray(a, dtype))
-    fb = stack_output(net.extractor.layers, np.asarray(b, dtype))
-    return stack_output(net.head, np.concatenate([fa, fb], axis=1))
-
-
-def forward(net: SiameseNetwork, a, b) -> np.ndarray:
-    """Single-pair probability 2-vector."""
-    return forward_pairs(net, np.asarray(a)[None, :], np.asarray(b)[None, :])[0]
+    fa = forward(net.extractor.layers, np.asarray(a, dtype))
+    fb = forward(net.extractor.layers, np.asarray(b, dtype))
+    return forward(net.head, np.concatenate([fa, fb], axis=1))
 
 
 def loss_and_gradients(net: SiameseNetwork, batch) -> tuple:
@@ -145,20 +138,19 @@ def loss_and_gradients(net: SiameseNetwork, batch) -> tuple:
     n = len(a)
     feat_dim = net.extractor.out_dim
 
-    fa, cache_a = stack_forward(net.extractor.layers, a)
-    fb, cache_b = stack_forward(net.extractor.layers, b)
-    joined = np.concatenate([fa, fb], axis=1)
-    probs, cache_h = stack_forward(net.head, joined)
+    kept_a, kept_b, kept_h = [], [], []
+    fa = forward(net.extractor.layers, a, kept_a)
+    fb = forward(net.extractor.layers, b, kept_b)
+    probs = forward(net.head, np.concatenate([fa, fb], axis=1), kept_h)
 
-    z_last = cache_h[-1][1]
-    log_probs = log_softmax_rows(z_last)
-    loss = check_finite(float(-(t * log_probs).sum() / n))
+    logits = kept_h[-1][1]
+    loss = check_finite(float(-(t * log_softmax_rows(logits)).sum() / n))
 
     dz = (probs - t) / n
-    head_grads, djoined = stack_backward(net.head, cache_h, dz,
+    head_grads, djoined = stack_backward(net.head, kept_h, dz,
                                          need_input_grad=True)
-    ga, _ = stack_backward(net.extractor.layers, cache_a, djoined[:, :feat_dim])
-    gb, _ = stack_backward(net.extractor.layers, cache_b, djoined[:, feat_dim:])
+    ga, _ = stack_backward(net.extractor.layers, kept_a, djoined[:, :feat_dim])
+    gb, _ = stack_backward(net.extractor.layers, kept_b, djoined[:, feat_dim:])
     ext_grads = [(dwa + dwb, dba + dbb)
                  for (dwa, dba), (dwb, dbb) in zip(ga, gb)]
     return loss, Gradients(ext_grads, head_grads)
@@ -167,10 +159,10 @@ def loss_and_gradients(net: SiameseNetwork, batch) -> tuple:
 def mse_and_gradients(layers, x: np.ndarray, target: np.ndarray) -> tuple:
     """Mean squared error of the stack's output against `target`, over all
     elements, and gradients for every layer."""
-    out, cache = stack_forward(layers, x)
-    diff = out - target
+    kept: list = []
+    diff = forward(layers, x, kept) - target
     loss = check_finite(float(np.mean(diff ** 2)))
-    grads, _ = stack_backward(layers, cache, (2.0 / diff.size) * diff)
+    grads, _ = stack_backward(layers, kept, (2.0 / diff.size) * diff)
     return loss, grads
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .. import dataset
-from .layers import forward as stack_output
+from .layers import forward
 from .model import (
     AutoEncoder, FeatureExtractor, Gradients, SiameseNetwork,
     forward_pairs, init_extractor, init_head, loss_and_gradients,
@@ -155,7 +155,7 @@ def pretrain_pos2vec(data, cfg: TrainConfig,
     logs: list = []
     for stage in range(len(dims) - 1):
         rng = np.random.default_rng([cfg.seed, stage])
-        inputs = stack_output(frozen, x_all)
+        inputs = forward(frozen, x_all)
         auto = AutoEncoder.fresh(dims[stage], dims[stage + 1], rng, dtype)
         logs.append(_regress([auto.encoder, auto.decoder], inputs, inputs,
                              cfg, rng))
@@ -262,7 +262,7 @@ def distill(teacher: SiameseNetwork, positions, ds,
     student_ext = init_extractor(extractor_dims, rng1, dtype)
     stage1_log = []
     if cfg_stage1.epochs > 0:
-        teacher_feats = stack_output(teacher.extractor.layers, x_all)
+        teacher_feats = forward(teacher.extractor.layers, x_all)
         stage1_log = _regress(student_ext.layers, x_all, teacher_feats,
                               cfg_stage1, rng1)
 

@@ -6,7 +6,8 @@ movetime, clock times, nodes), `setoption`, `stop`, `quit`. The loop
 never crashes on malformed input and never emits an illegal bestmove;
 anything it cannot act on is answered with an `info string` diagnostic,
 including any other `go` argument (`infinite`, `ponder`, `mate`,
-`searchmoves`, ...), which is named and ignored. A search runs to its
+`searchmoves`, ...) and any limit given without an integer, each named
+and ignored. A search runs to its
 limits before the next command is read, so `stop` finds the engine idle
 and is accepted without a reply.
 
@@ -32,6 +33,7 @@ from .search import SearchLimits, clock_limits, search_root
 
 ENGINE_NAME = "cmpchess"
 COMPARATORS = ("learned", "material", "random")
+MAX_CACHE_MB = 4096
 
 
 @dataclass
@@ -52,9 +54,10 @@ class EngineConfig:
                              "comparator")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if not (math.isfinite(self.cache_mb) and self.cache_mb > 0):
-            raise ValueError(f"cache_mb must be a finite number > 0, "
-                             f"got {self.cache_mb}")
+        if not (math.isfinite(self.cache_mb)
+                and 0 < self.cache_mb <= MAX_CACHE_MB):
+            raise ValueError(f"cache_mb must be a number > 0 and <= "
+                             f"{MAX_CACHE_MB}, got {self.cache_mb}")
 
 
 def build_comparator(cfg: EngineConfig):
@@ -108,10 +111,11 @@ _GO_LIMITS = ("depth", "movetime", "wtime", "btime", "winc", "binc", "nodes")
 
 
 def _parse_go_limits(tokens, p: Position, default_depth: int) -> tuple:
-    """(SearchLimits, unsupported): the limits `go <tokens>` asks for, and
-    the tokens outside _GO_LIMITS, with any number that follows one."""
+    """(SearchLimits, ignored): the limits `go <tokens>` asks for, and the
+    tokens it cannot act on: each token outside _GO_LIMITS, with any
+    number that follows one, and each limit given without an integer."""
     args = {}
-    unsupported = []
+    ignored = []
     i = 0
     while i < len(tokens):
         name = tokens[i]
@@ -123,8 +127,8 @@ def _parse_go_limits(tokens, p: Position, default_depth: int) -> tuple:
                 pass
         args[name] = value
         taken = 1 if value is None else 2
-        if name not in _GO_LIMITS:
-            unsupported += tokens[i:i + taken]
+        if name not in _GO_LIMITS or value is None:
+            ignored += tokens[i:i + taken]
         i += taken
 
     # a limit counts when it is given with a number, zero included
@@ -147,7 +151,7 @@ def _parse_go_limits(tokens, p: Position, default_depth: int) -> tuple:
         # bare "go": think for about a second
         limits = SearchLimits(max_depth=default_depth, soft_time=1.0,
                               hard_time=2.0)
-    return replace(limits, node_cap=nodes), unsupported
+    return replace(limits, node_cap=nodes), ignored
 
 
 def _handle_position(session: _Session, tokens: list) -> None:
@@ -212,7 +216,11 @@ def _handle_go(session: _Session, tokens: list) -> None:
         session.diag("no legal moves in the current position")
         session.say("bestmove 0000")
         return
-    limits, unsupported = _parse_go_limits(tokens, p, session.cfg.max_depth)
+    limits, ignored = _parse_go_limits(tokens, p, session.cfg.max_depth)
+    numberless = [t for t in ignored if t in _GO_LIMITS]
+    if numberless:
+        session.diag(f"go: no integer after {' '.join(numberless)}, ignored")
+    unsupported = [t for t in ignored if t not in _GO_LIMITS]
     if unsupported:
         session.diag(f"go: not supported, ignored: {' '.join(unsupported)}")
     cmp = session.ensure_comparator()
@@ -231,6 +239,25 @@ def _handle_go(session: _Session, tokens: list) -> None:
     session.say(f"bestmove {best.uci()}")
 
 
+def _handle_uci(session: _Session) -> None:
+    """Identify the engine and advertise each option at its current value."""
+    from . import __version__
+    cfg = session.cfg
+    session.say(f"id name {ENGINE_NAME} {__version__}")
+    session.say(f"id author the {ENGINE_NAME} developers")
+    session.say(f"option name CacheMB type spin default {cfg.cache_mb:g} "
+                f"min 1 max {MAX_CACHE_MB}")
+    session.say(f"option name Comparator type combo default {cfg.comparator} "
+                "var material var random var learned")
+    session.say(f"option name ModelPath type string default "
+                f"{cfg.model_path or ''}")
+    session.say(f"option name Seed type spin default {cfg.seed} "
+                "min 0 max 999999999")
+    session.say(f"option name MaxDepth type spin default {cfg.max_depth} "
+                "min 1 max 64")
+    session.say("uciok")
+
+
 def uci_loop(cfg: EngineConfig, inp: TextIO | None = None,
              out: TextIO | None = None) -> None:
     if inp is None:
@@ -247,20 +274,7 @@ def uci_loop(cfg: EngineConfig, inp: TextIO | None = None,
             if cmd == "quit":
                 return
             elif cmd == "uci":
-                from . import __version__
-                session.say(f"id name {ENGINE_NAME} {__version__}")
-                session.say(f"id author the {ENGINE_NAME} developers")
-                session.say("option name CacheMB type spin default 32 "
-                            "min 1 max 4096")
-                session.say("option name Comparator type combo "
-                            "default material var material var random "
-                            "var learned")
-                session.say("option name ModelPath type string default ")
-                session.say("option name Seed type spin default 0 "
-                            "min 0 max 999999999")
-                session.say("option name MaxDepth type spin default 64 "
-                            "min 1 max 64")
-                session.say("uciok")
+                _handle_uci(session)
             elif cmd == "isready":
                 session.ensure_comparator()
                 session.say("readyok")

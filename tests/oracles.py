@@ -241,6 +241,30 @@ def relative_error(a, b):
     return float(np.linalg.norm(a - b)) / max(na + nb, 1e-12)
 
 
+def old_stack_forward(layers, x):
+    """A layer stack's output and its (input, preactivation) per layer,
+    as the training pass computed them before `nn.layers.forward` became
+    the one forward pass: a fresh `x @ W.T + b`, then a fresh activation.
+    """
+    import numpy as np
+
+    cache = []
+    a = x
+    for layer in layers:
+        z = a @ layer.weights.T + layer.bias
+        cache.append((a, z))
+        if layer.activation == "relu":
+            a = np.maximum(z, 0)
+        elif layer.activation == "linear":
+            a = z
+        else:  # softmax2, per row
+            with np.errstate(invalid="ignore"):
+                shifted = z - z.max(axis=-1, keepdims=True)
+                e = np.exp(shifted)
+                a = e / e.sum(axis=-1, keepdims=True)
+    return a, cache
+
+
 # --- scalar search oracles ------------------------------------------------
 #
 # A conventional score-based alpha-beta and a full-minimax node counter,

@@ -256,6 +256,7 @@ def smoothed(xs, window: int = 3):
             for i in range(len(xs))]
 
 
+@pytest.mark.slow
 def test_04_training_floors(report, material_teacher, odds_model):
     _, log_a, _, _ = material_teacher
     synth_val = log_a[-1].val_accuracy
@@ -274,6 +275,7 @@ def test_04_training_floors(report, material_teacher, odds_model):
 
 # --- 5: distillation ------------------------------------------------------
 
+@pytest.mark.slow
 def test_05_distillation(report, material_teacher):
     teacher, _, ds, labeled = material_teacher
     held_out = build_pair_set(
@@ -428,6 +430,7 @@ def imbalance_pairs():
     return pairs[:50]
 
 
+@pytest.mark.slow
 def test_10_piece_value_ordering(report, odds_model):
     net, _ = odds_model
     cmp = LearnedComparator(net)

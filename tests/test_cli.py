@@ -3,6 +3,7 @@
 import io
 import random
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -67,6 +68,36 @@ class TestConfigFormat:
             engine_config_from({"cache_mb": value})
         with pytest.raises(ValueError, match="cache_mb"):
             EngineConfig(cache_mb=float(value))
+
+    # only configs are built here: a comparator would allocate the cache
+    @pytest.mark.parametrize("value", ["4096.5", "5000", "1e12"])
+    def test_cache_size_above_the_uci_max_refused_by_name(self, value):
+        with pytest.raises(UsageError, match="cache_mb.*4096"):
+            engine_config_from({"cache_mb": value})
+        with pytest.raises(UsageError, match="cache_mb"):
+            engine_config_from({}, overrides={"cache_mb": float(value)})
+        with pytest.raises(ValueError, match="cache_mb"):
+            EngineConfig(cache_mb=float(value))
+
+    @pytest.mark.parametrize("value", ["0.5", "4096"])
+    def test_cache_size_within_bounds_accepted(self, value):
+        assert engine_config_from({"cache_mb": value}).cache_mb \
+            == float(value)
+
+    def test_defaults_come_from_engine_config(self, monkeypatch):
+        assert set(cli._ENGINE_KEY_TYPES) == set(cli.ENGINE_KEYS)
+        assert engine_config_from({}) == EngineConfig()
+
+        @dataclass
+        class Other(EngineConfig):
+            cache_mb: float = 8.0
+            comparator: str = "random"
+            seed: int = 3
+            max_depth: int = 5
+
+        monkeypatch.setattr(cli, "EngineConfig", Other)
+        assert engine_config_from({}) == Other()
+        assert engine_config_from({"seed": "4"}) == Other(seed=4)
 
 
 class TestExitCodes:
@@ -173,6 +204,17 @@ class TestOperation:
         assert main(["play", "--comparator", "material"]) == 0
         out = capsys.readouterr().out
         assert "uciok" in out and "bestmove" in out
+
+    def test_play_advertises_its_settings(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("uci\nquit\n"))
+        assert main(["play", "--comparator", "random", "--max-depth", "8",
+                     "--cache-mb", "4", "--engine-seed", "6"]) == 0
+        options = {line.split()[2]: line.split("default ")[1].split()[0]
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("option name")
+                   and line.split()[2] != "ModelPath"}
+        assert options == {"CacheMB": "4", "Comparator": "random",
+                           "Seed": "6", "MaxDepth": "8"}
 
     def test_match_config(self, tmp_path, capsys):
         pgn_out = tmp_path / "match.pgn"

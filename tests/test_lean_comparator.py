@@ -2,11 +2,12 @@
 
 The comparator runs on a view of its net whose first layer is a
 column-major copy of the same weights; features and the head's hidden
-layers go through the cache-free `nn.layers.forward`; `active_bits`
-reads a signed-cell table. The copies below are `active_bits`,
-`features_of` and `compare` as they were before, on the net itself and
-through `stack_forward`; on the 10k playout corpus both must give the
-same bits.
+layers go through `nn.layers.forward`, the one forward pass that search
+and training share; `active_bits` reads a signed-cell table. The copies
+below are `active_bits`, `features_of` and `compare` as they were
+before, on the net itself and through the former training pass
+(`oracles.old_stack_forward`); on the 10k playout corpus both must give
+the same bits.
 """
 
 import math
@@ -22,9 +23,7 @@ from cmpchess.inference import (
     features_of, sparse_affine,
 )
 from cmpchess.nn import init_siamese
-from cmpchess.nn.layers import (
-    LINEAR, RELU, SOFTMAX2, forward, init_layer, stack_forward,
-)
+from cmpchess.nn.layers import LINEAR, RELU, SOFTMAX2, forward, init_layer
 from cmpchess.nn.model import FeatureExtractor, SiameseNetwork
 from cmpchess.nn.train import (
     STUDENT_EXTRACTOR_DIMS, STUDENT_HEAD_SIZES, TEACHER_EXTRACTOR_DIMS,
@@ -32,6 +31,7 @@ from cmpchess.nn.train import (
 )
 
 from corpus import playout_positions
+from oracles import old_stack_forward
 
 
 # ---------------------------------------------------- the former code
@@ -56,13 +56,13 @@ def old_features_of(p, net):
     first = layers[0]
     z = sparse_affine(first, old_active_bits(p))
     x = np.maximum(z, 0) if first.activation == RELU else z
-    x, _ = stack_forward(layers[1:], x)
+    x, _ = old_stack_forward(layers[1:], x)
     return x
 
 
 def old_logits(net, fa, fb):
     head = net.head
-    x, _ = stack_forward(head[:-1], np.concatenate([fa, fb]))
+    x, _ = old_stack_forward(head[:-1], np.concatenate([fa, fb]))
     last = head[-1]
     return (x @ last.weights.T + last.bias).tolist()
 
@@ -153,7 +153,7 @@ def test_forward_is_stack_forward_output(stack, rows, dtype):
     shape = (dims[0],) if rows is None else (rows, dims[0])
     x = rng.standard_normal(shape).astype(dtype)
     x_before = x.copy()
-    expected, _ = stack_forward(layers, x)
+    expected, _ = old_stack_forward(layers, x)
     assert same_bits(forward(layers, x), expected)
     assert same_bits(x, x_before)
 

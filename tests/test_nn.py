@@ -11,13 +11,13 @@ from cmpchess.fileformat import (
 )
 from cmpchess.nn import (
     AutoEncoder, DenseLayer, FeatureExtractor, NonFiniteLoss, SiameseNetwork,
-    forward, forward_pairs, init_siamese, load_extractor, load_model,
+    forward_pairs, init_siamese, load_extractor, load_model,
     loss_and_gradients, save_extractor, save_model,
 )
 from cmpchess.nn.io import _write_layers
-from cmpchess.nn.layers import init_layer, softmax_rows, stack_forward
+from cmpchess.nn.layers import forward, init_layer, softmax_rows
 from cmpchess.nn.model import init_extractor, init_head
-from oracles import finite_difference, relative_error
+from oracles import finite_difference, old_stack_forward, relative_error
 
 
 def old_write_layers(path, layers):
@@ -60,7 +60,7 @@ class TestForward:
         for layer in list(net.extractor.layers) + list(net.head):
             layer.weights[:] = 0
             layer.bias[:] = 0
-        p = forward(net, np.ones(9), np.zeros(9))
+        p = forward_pairs(net, np.ones((1, 9)), np.zeros((1, 9)))[0]
         assert p[0] == 0.5 and p[1] == 0.5
 
     def test_softmax_rows_sum_to_one(self):
@@ -75,7 +75,8 @@ class TestForward:
         a, b, _ = tiny_batch(net)
         batched = forward_pairs(net, a, b)
         for i in range(len(a)):
-            assert np.allclose(batched[i], forward(net, a[i], b[i]), atol=1e-12)
+            single = forward_pairs(net, a[i:i + 1], b[i:i + 1])[0]
+            assert np.allclose(batched[i], single, atol=1e-12)
 
     def test_weight_sharing_is_by_aliasing(self):
         net = tiny_net()
@@ -84,8 +85,8 @@ class TestForward:
         net.extractor.layers[0].weights += 0.05  # one storage serves both slots
         after = forward_pairs(net, a, b)
         assert not np.allclose(before, after)
-        fa = net.extractor.features(a)
-        fb = net.extractor.features(b)
+        fa = forward(net.extractor.layers, a)
+        fb = forward(net.extractor.layers, b)
         assert fa.shape == fb.shape  # same object, both branches
 
 
@@ -162,7 +163,7 @@ class TestGradients:
         rng = np.random.default_rng(22)
         auto = AutoEncoder.fresh(6, 3, rng, dtype=np.float64)
         x = rng.random((5, 6))
-        out, _ = stack_forward([auto.encoder, auto.decoder], x)
+        out, _ = old_stack_forward([auto.encoder, auto.decoder], x)
         loss = auto.loss_and_gradients(x)[0]
         assert abs(loss - float(np.mean((out - x) ** 2))) < 1e-12
 

@@ -1,11 +1,14 @@
 """The shared training loops against the per-caller loops they replace.
 
 Pretraining and distillation stage 1 now run one mean-squared-error loop,
-pairwise training and distillation stage 2 one cross-entropy epoch, and
-the backward pass reads a softmax2 output as already holding dz instead
-of taking a flag. The copies below are the loops and the backward rule
-as they were before; on small float32 and float64 configs both must give
-the same weight bytes and the same logs.
+pairwise training and distillation stage 2 one cross-entropy epoch, the
+backward pass reads a softmax2 output as already holding dz instead of
+taking a flag, and every loss runs the one forward pass,
+`nn.layers.forward`, keeping what it computed for backward. The copies
+below are the loops, the backward rule and the former training pass
+(`oracles.old_stack_forward`) as they were before; on small float32 and
+float64 configs both must give the same weight bytes and the same logs,
+and on teacher and student shapes the same loss and gradients per step.
 """
 
 import numpy as np
@@ -13,18 +16,19 @@ import pytest
 
 from cmpchess import dataset
 from cmpchess.nn import train
-from cmpchess.nn.layers import (
-    RELU, LINEAR, check_finite, log_softmax_rows, stack_forward,
-)
+from cmpchess.nn.layers import RELU, LINEAR, check_finite, log_softmax_rows
 from cmpchess.nn.model import (
     AutoEncoder, FeatureExtractor, Gradients, SiameseNetwork, forward_pairs,
-    init_extractor, init_head,
+    init_extractor, init_head, init_siamese, loss_and_gradients,
+    mse_and_gradients,
 )
 from cmpchess.nn.train import (
-    EpochStats, TrainConfig, apply_gradients, build_pair_set, lr_at,
-    pair_batches, sgd_step,
+    STUDENT_EXTRACTOR_DIMS, STUDENT_HEAD_SIZES, TEACHER_EXTRACTOR_DIMS,
+    TEACHER_HEAD_SIZES, EpochStats, TrainConfig, apply_gradients,
+    build_pair_set, lr_at, pair_batches, sgd_step,
 )
 
+from oracles import old_stack_forward
 from test_training import synthetic_split
 
 
@@ -55,10 +59,10 @@ def old_loss_and_gradients(net, batch):
     a, b, t = (np.asarray(x, net.dtype) for x in batch)
     n = len(a)
     feat_dim = net.extractor.out_dim
-    fa, cache_a = stack_forward(net.extractor.layers, a)
-    fb, cache_b = stack_forward(net.extractor.layers, b)
+    fa, cache_a = old_stack_forward(net.extractor.layers, a)
+    fb, cache_b = old_stack_forward(net.extractor.layers, b)
     joined = np.concatenate([fa, fb], axis=1)
-    probs, cache_h = stack_forward(net.head, joined)
+    probs, cache_h = old_stack_forward(net.head, joined)
     log_probs = log_softmax_rows(cache_h[-1][1])
     loss = check_finite(float(-(t * log_probs).sum() / n))
     dz = (probs - t) / n
@@ -74,9 +78,18 @@ def old_loss_and_gradients(net, batch):
     return loss, Gradients(ext_grads, head_grads)
 
 
+def old_mse_and_gradients(layers, x, target):
+    out, cache = old_stack_forward(layers, x)
+    diff = out - target
+    loss = check_finite(float(np.mean(diff ** 2)))
+    grads, _ = old_stack_backward(layers, cache, (2.0 / diff.size) * diff,
+                                  delta_is_dz=False)
+    return loss, grads
+
+
 def old_autoencoder_loss_and_gradients(auto, x):
     layers = [auto.encoder, auto.decoder]
-    out, cache = stack_forward(layers, x)
+    out, cache = old_stack_forward(layers, x)
     diff = out - x
     loss = check_finite(float(np.mean(diff ** 2)))
     dz = (2.0 / diff.size) * diff
@@ -110,7 +123,7 @@ def old_pretrain_pos2vec(data, cfg, dims, dtype):
     for stage in range(len(dims) - 1):
         rng = np.random.default_rng([cfg.seed, stage])
         if frozen:
-            inputs, _ = stack_forward(frozen, x_all.astype(dtype))
+            inputs, _ = old_stack_forward(frozen, x_all.astype(dtype))
         else:
             inputs = x_all.astype(dtype)
         auto = AutoEncoder.fresh(dims[stage], dims[stage + 1], rng, dtype)
@@ -179,7 +192,7 @@ def old_regress_features(student, inputs, targets, cfg, rng):
         for lo in range(0, n, cfg.minibatch):
             idx = order[lo:lo + cfg.minibatch]
             x = inputs[idx]
-            out, cache = stack_forward(student.layers, x)
+            out, cache = old_stack_forward(student.layers, x)
             diff = out - targets[idx]
             loss = check_finite(float(np.mean(diff ** 2)))
             delta = (2.0 / diff.size) * diff
@@ -200,7 +213,7 @@ def old_distill(teacher, positions, ds, cfg_stage1, cfg_stage2,
     student_ext = init_extractor(extractor_dims, rng1, dtype)
     stage1_log = []
     if cfg_stage1.epochs > 0:
-        teacher_feats, _ = stack_forward(teacher.extractor.layers, x_all)
+        teacher_feats, _ = old_stack_forward(teacher.extractor.layers, x_all)
         stage1_log = old_regress_features(student_ext, x_all, teacher_feats,
                                           cfg_stage1, rng1)
     rng2 = np.random.default_rng([cfg_stage2.seed, 32])
@@ -314,3 +327,44 @@ def test_agreement_past_one_eval_batch(ds, teacher):
     assert agreement == old_pair_agreement(teacher, other, triple)
     assert train.pair_accuracy(other, triple) == old_pair_accuracy(other,
                                                                    triple)
+
+
+SHAPES = {"teacher": (TEACHER_EXTRACTOR_DIMS, TEACHER_HEAD_SIZES),
+          "student": (STUDENT_EXTRACTOR_DIMS, STUDENT_HEAD_SIZES)}
+
+
+def grad_bytes(grads) -> list:
+    return [(dw.dtype.str, dw.tobytes(), db.dtype.str, db.tobytes())
+            for dw, db in grads]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_one_step_as_the_former_pass(ds, shape, dtype):
+    dims, head_sizes = SHAPES[shape]
+    net = init_siamese(dims, head_sizes, seed=80, dtype=dtype)
+    for layer in net.extractor.layers + net.head:  # both signs of z
+        layer.bias[:] = np.random.default_rng(81).uniform(
+            -0.1, 0.1, layer.out_dim)
+    rng = np.random.default_rng(82)
+    a, b, hard = next(pair_batches(dataset.class_matrix(ds.train_W),
+                                   dataset.class_matrix(ds.train_L), 128,
+                                   128, rng, dtype))
+    soft = forward_pairs(init_siamese(dims, head_sizes, seed=83,
+                                      dtype=dtype), a, b)
+    for target in (hard, soft):
+        loss, grads = loss_and_gradients(net, (a, b, target))
+        old_loss, old_grads = old_loss_and_gradients(net, (a, b, target))
+        assert type(loss) is float and repr(loss) == repr(old_loss)
+        assert grad_bytes(grads.extractor) == grad_bytes(old_grads.extractor)
+        assert grad_bytes(grads.head) == grad_bytes(old_grads.head)
+
+    # distillation stage 1 (relu output) and a pretraining stage (linear)
+    features = rng.standard_normal((128, dims[-1])).astype(dtype)
+    auto = AutoEncoder.fresh(dims[0], dims[1], rng, dtype)
+    for layers, target in ((net.extractor.layers, features),
+                           ([auto.encoder, auto.decoder], a)):
+        loss, grads = mse_and_gradients(layers, a, target)
+        old_loss, old_grads = old_mse_and_gradients(layers, a, target)
+        assert type(loss) is float and repr(loss) == repr(old_loss)
+        assert grad_bytes(grads) == grad_bytes(old_grads)

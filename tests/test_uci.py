@@ -41,6 +41,34 @@ class TestHandshake:
     def test_loop_ends_on_eof(self):
         assert run_lines(["isready"]) == ["readyok"]
 
+    def test_default_options(self):
+        options = [l for l in run_lines(["uci", "quit"])
+                   if l.startswith("option name")]
+        assert options == [
+            "option name CacheMB type spin default 32 min 1 max 4096",
+            "option name Comparator type combo default material "
+            "var material var random var learned",
+            "option name ModelPath type string default ",
+            "option name Seed type spin default 0 min 0 max 999999999",
+            "option name MaxDepth type spin default 64 min 1 max 64"]
+
+    def test_options_advertise_the_session_config(self, tmp_path):
+        path = tmp_path / "net.dchs"
+        save_model(init_siamese((773, 8, 4), (8, 2), seed=0), path)
+        cfg = EngineConfig(comparator="learned", model_path=str(path),
+                           cache_mb=0.5, seed=7, max_depth=8)
+        out = run_lines(["uci", "setoption name MaxDepth value 5", "uci",
+                         "quit"], cfg)
+        defaults = [line.split(" default ")[1] for line in out
+                    if line.startswith("option name")]
+        assert defaults == [
+            "0.5 min 1 max 4096",
+            "learned var material var random var learned", str(path),
+            "7 min 0 max 999999999", "8 min 1 max 64",
+            "0.5 min 1 max 4096",
+            "learned var material var random var learned", str(path),
+            "7 min 0 max 999999999", "5 min 1 max 64"]
+
 
 class TestPositionAndGo:
     def test_startpos_go_depth_one(self):
@@ -226,6 +254,28 @@ class TestGoLimits:
                          "quit"])
         (info,) = [line for line in out if line.startswith("info depth")]
         assert int(info.split()[2]) < 5
+        (bm,) = bestmoves(out)
+        assert Move.from_uci(bm) in legal_moves(startpos())
+
+    @pytest.mark.parametrize("tokens, limits, ignored", [
+        (["depth"], None, ["depth"]),
+        (["depth", "x"], None, ["depth", "x"]),
+        (["movetime"], None, ["movetime"]),
+        (["wtime", "btime", "5000"], None, ["wtime"]),
+        (["nodes", "depth", "2"], SearchLimits(max_depth=2), ["nodes"]),
+    ], ids=["depth", "depth-x", "movetime", "wtime", "nodes"])
+    def test_limit_without_an_integer_is_named(self, tokens, limits,
+                                               ignored):
+        bare = go_limits("go")
+        assert _parse_go_limits(tokens, startpos(), 64) \
+            == (limits or bare, ignored)
+
+    def test_limit_without_an_integer_is_diagnosed(self):
+        out = run_lines(["position startpos", "go depth x nodes 50",
+                         "quit"])
+        notes = [l for l in out if l.startswith("info string")]
+        assert notes == ["info string go: no integer after depth, ignored",
+                         "info string go: not supported, ignored: x"]
         (bm,) = bestmoves(out)
         assert Move.from_uci(bm) in legal_moves(startpos())
 
