@@ -125,10 +125,11 @@ def _parse_go_limits(tokens, p: Position, default_depth: int) -> tuple:
                 value = int(tokens[i + 1])
             except ValueError:
                 pass
-        args[name] = value
         taken = 1 if value is None else 2
-        if name not in _GO_LIMITS or value is None:
+        if value is None or name not in _GO_LIMITS:
             ignored += tokens[i:i + taken]
+        else:
+            args[name] = value
         i += taken
 
     # a limit counts when it is given with a number, zero included

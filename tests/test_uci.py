@@ -263,7 +263,8 @@ class TestGoLimits:
         (["movetime"], None, ["movetime"]),
         (["wtime", "btime", "5000"], None, ["wtime"]),
         (["nodes", "depth", "2"], SearchLimits(max_depth=2), ["nodes"]),
-    ], ids=["depth", "depth-x", "movetime", "wtime", "nodes"])
+        (["depth", "3", "depth"], SearchLimits(max_depth=3), ["depth"]),
+    ], ids=["depth", "depth-x", "movetime", "wtime", "nodes", "repeated"])
     def test_limit_without_an_integer_is_named(self, tokens, limits,
                                                ignored):
         bare = go_limits("go")
