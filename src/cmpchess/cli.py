@@ -37,7 +37,8 @@ from .nn.train import (
 )
 from .pgn import parse_pgn
 from .search import SearchLimits, search_root
-from .uci import COMPARATORS, EngineConfig, build_comparator, uci_loop
+from .uci import COMPARATORS, EngineConfig, build_comparator, read_setting, \
+    uci_loop
 
 
 class UsageError(Exception):
@@ -111,8 +112,9 @@ def engine_config_from(cfg: dict, prefix: str = "",
         if value is not None:
             merged[key] = value
     try:
-        return EngineConfig(**{key: _ENGINE_KEY_TYPES[key](value)
-                               for key, value in merged.items()})
+        return EngineConfig(**{
+            key: read_setting(prefix + key, value, _ENGINE_KEY_TYPES[key])
+            for key, value in merged.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -272,12 +274,13 @@ def cmd_match(args) -> int:
     try:
         spec = MatchSpec(
             engines=(engine_a, engine_b),
-            games=int(args.games if args.games is not None
-                      else cfg.get("games", 2)),
+            games=(args.games if args.games is not None
+                   else read_setting("games", cfg.get("games", 2), int)),
             time_per_game=time_per_game,
             openings=openings,
             alternate_colors=_as_bool(cfg.get("alternate_colors", True)),
-            max_plies=int(cfg.get("max_plies", 400)))
+            max_plies=read_setting("max_plies", cfg.get("max_plies", 400),
+                                   int))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -118,7 +118,7 @@ def split(positions: Iterable[LabeledPosition], val_per_class: int,
 
 def class_matrix(positions: list[LabeledPosition]) -> np.ndarray:
     """Stack vectors into one uint8 matrix for vectorized training."""
-    return np.stack([x.vector for x in positions]).astype(np.uint8)
+    return np.stack([x.vector for x in positions]).astype(np.uint8, copy=False)
 
 
 def save_positions(path, positions: Iterable[LabeledPosition]) -> int:

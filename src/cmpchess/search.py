@@ -2,25 +2,28 @@
 
 Classical alpha-beta keeps two scores; here the window is a pair of
 *bounds* that are usually positions, and every pruning or improvement
-decision is a comparator call. A bound is one of:
+decision between two positions is a comparator call. A bound is either
+the leaf `Position` itself or an integer rank for an outcome the
+comparator is never asked about:
 
-    MIN_SENTINEL                below everything (initial alpha)
-    TERMINAL_LOSS(ply)          the mover is mated, `ply` plies from the
+    MIN_BOUND       -MATE - 1   below everything (initial alpha)
+    loss(ply)       ply - MATE  the mover is mated `ply` plies from the
                                 search root; a later mate ranks higher
-    TERMINAL_DRAW               the line ends drawn, held by the mover
-    POSITION(p)                 an ordinary leaf, ranked by the comparator
-    TERMINAL_DRAW_GIVEN         the mover forces the draw on the opponent
-    TERMINAL_WIN(ply)           the mover mates, sooner ranks higher
-    MAX_SENTINEL                above everything (initial beta)
+    DRAW            -1          the line ends drawn, held by the mover
+    a position      (0)         an ordinary leaf, ranked by the comparator
+    DRAW_GIVEN      +1          the mover forces the draw on the opponent
+    win(ply)        MATE - ply  the mover mates, sooner ranks higher
+    MAX_BOUND       MATE + 1    above everything (initial beta)
 
-Negation (the negamax perspective flip) swaps LOSS/WIN, DRAW/DRAW_GIVEN
-and the sentinels, and leaves positions untouched: one side's mate is
-the other's, and a stored position simply gets re-compared from the
-other perspective. Draws rank below every ordinary position for the
-side held to them and above for the side forcing them; this keeps the
-order consistent under negation (a scalar evaluation can embed it), at
-the documented cost that the engine never *prefers* to be the one held
-to a draw.
+A position stands at rank 0 only when it meets an integer; two positions
+go to the comparator. Negation (the negamax perspective flip) is `-b`
+for a rank, which swaps loss and win, the two draws and the two
+sentinels, and leaves a position untouched: one side's mate is the
+other's, and a stored position simply gets re-compared from the other
+perspective. Draws rank below every ordinary position for the side held
+to them and above for the side forcing them; this keeps the order
+consistent under negation, at the documented cost that the engine never
+*prefers* to be the one held to a draw.
 
 The comparator is always asked from White's perspective and the answer
 is inverted at nodes where Black is to move.
@@ -37,112 +40,47 @@ from .board import Color, Move, Position, has_legal_move, legal_moves
 from .board import make_move as apply_move
 from .inference import CELL_VALUES, Ordering
 
-MIN_SENTINEL = 0
-TERMINAL_LOSS = 1
-TERMINAL_DRAW = 2
-POSITION = 3
-TERMINAL_DRAW_GIVEN = 4
-TERMINAL_WIN = 5
-MAX_SENTINEL = 6
-
-_KIND_NAMES = ("MinSentinel", "TerminalLoss", "TerminalDraw", "Position",
-               "TerminalDrawGiven", "TerminalWin", "MaxSentinel")
+MATE = 1_000_000  # above any reachable ply count
+MIN_BOUND = -MATE - 1
+MAX_BOUND = MATE + 1
+DRAW = -1
+DRAW_GIVEN = 1
 
 
-class Bound:
-    __slots__ = ("kind", "ply", "position")
-
-    def __init__(self, kind: int, ply: int = 0,
-                 position: Optional[Position] = None):
-        self.kind = kind
-        self.ply = ply
-        self.position = position
-
-    @staticmethod
-    def min_sentinel() -> "Bound":
-        return Bound(MIN_SENTINEL)
-
-    @staticmethod
-    def max_sentinel() -> "Bound":
-        return Bound(MAX_SENTINEL)
-
-    @staticmethod
-    def loss(ply: int) -> "Bound":
-        return Bound(TERMINAL_LOSS, ply=ply)
-
-    @staticmethod
-    def win(ply: int) -> "Bound":
-        return Bound(TERMINAL_WIN, ply=ply)
-
-    @staticmethod
-    def draw() -> "Bound":
-        return Bound(TERMINAL_DRAW)
-
-    @staticmethod
-    def draw_given() -> "Bound":
-        return Bound(TERMINAL_DRAW_GIVEN)
-
-    @staticmethod
-    def pos(p: Position) -> "Bound":
-        return Bound(POSITION, position=p)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Bound):
-            return NotImplemented
-        return (self.kind == other.kind and self.ply == other.ply
-                and self.position == other.position)
-
-    def __repr__(self) -> str:
-        name = _KIND_NAMES[self.kind]
-        if self.kind in (TERMINAL_LOSS, TERMINAL_WIN):
-            return f"{name}({self.ply})"
-        if self.kind == POSITION:
-            return f"Position({self.position!r})"
-        return name
+def loss(ply: int) -> int:
+    """The mover is mated `ply` plies from the root; later ranks higher."""
+    return ply - MATE
 
 
-_NEGATED_KIND = {
-    MIN_SENTINEL: MAX_SENTINEL,
-    MAX_SENTINEL: MIN_SENTINEL,
-    TERMINAL_LOSS: TERMINAL_WIN,
-    TERMINAL_WIN: TERMINAL_LOSS,
-    TERMINAL_DRAW: TERMINAL_DRAW_GIVEN,
-    TERMINAL_DRAW_GIVEN: TERMINAL_DRAW,
-    POSITION: POSITION,
-}
+def win(ply: int) -> int:
+    """The mover mates `ply` plies from the root; sooner ranks higher."""
+    return MATE - ply
 
 
-def negate(b: Bound) -> "Bound":
+def negate(b: Position | int) -> Position | int:
     """The same outcome seen by the other side."""
-    if b.kind == POSITION:
-        return b
-    return Bound(_NEGATED_KIND[b.kind], ply=b.ply)
+    return b if isinstance(b, Position) else -b
 
 
-def bound_compare(x: Bound, y: Bound, cmp, perspective: Color) -> Ordering:
+def bound_compare(x: Position | int, y: Position | int, cmp,
+                  perspective: Color) -> Ordering:
     """Order two bounds for the side `perspective` is moving for.
 
     Returns FIRST_BETTER only when x is strictly better than y; equal
-    standing (tied positions, same-ply mates, two draws) falls to
+    standing (tied positions, same-rank outcomes) falls to
     SECOND_BETTER like every other exact tie.
     """
-    if x.kind != y.kind:
-        return (Ordering.FIRST_BETTER if x.kind > y.kind
-                else Ordering.SECOND_BETTER)
-    if x.kind == TERMINAL_LOSS:  # being mated later is better
-        return (Ordering.FIRST_BETTER if x.ply > y.ply
-                else Ordering.SECOND_BETTER)
-    if x.kind == TERMINAL_WIN:  # mating sooner is better
-        return (Ordering.FIRST_BETTER if x.ply < y.ply
-                else Ordering.SECOND_BETTER)
-    if x.kind == POSITION:
-        verdict = cmp(x.position, y.position)
+    if isinstance(x, Position) and isinstance(y, Position):
+        verdict = cmp(x, y)
         if perspective == Color.BLACK:
             verdict = (Ordering.SECOND_BETTER
                        if verdict is Ordering.FIRST_BETTER
                        else Ordering.FIRST_BETTER)
         return verdict
-    return Ordering.SECOND_BETTER  # same sentinel or same draw kind: tie
+    x_rank = 0 if isinstance(x, Position) else x
+    y_rank = 0 if isinstance(y, Position) else y
+    return (Ordering.FIRST_BETTER if x_rank > y_rank
+            else Ordering.SECOND_BETTER)
 
 
 class NoLegalMoves(Exception):
@@ -240,18 +178,18 @@ def order_moves(p: Position, moves: Sequence[Move],
     return lead + captures + quiets
 
 
-def _ab(p: Position, depth: int, alpha: Bound, beta: Bound, cmp,
-        stats: SearchStats, ply: int, prev_best: Optional[Move]):
+def _ab(p: Position, depth: int, alpha: Position | int, beta: Position | int,
+        cmp, stats: SearchStats, ply: int, prev_best: Optional[Move]):
     """Fail-soft negamax core. Returns (bound, move, principal line)."""
     stats.tick()
     if depth == 0 and has_legal_move(p):  # a leaf needs one move, not all
-        return Bound.pos(p), None, []
+        return p, None, []
     moves = legal_moves(p)
     if not moves:  # terminal outranks the depth horizon
-        return (Bound.loss(ply) if p.is_check() else Bound.draw()), None, []
+        return (loss(ply) if p.is_check() else DRAW), None, []
 
     side = p.side_to_move
-    best = Bound.min_sentinel()
+    best = MIN_BOUND
     best_move = None
     best_line: list = []
     for m in order_moves(p, moves, prev_best):
@@ -263,7 +201,8 @@ def _ab(p: Position, depth: int, alpha: Bound, beta: Bound, cmp,
                       is Ordering.FIRST_BETTER)
         # Once alpha has been raised to best itself, (v, alpha) is the
         # question just asked; the verdict holds for any deterministic
-        # comparator, intransitive ones too.
+        # comparator, intransitive ones too; an int alpha and best that
+        # are one object are equal ranks, which no comparator orders.
         above_alpha = above_best if alpha is best else (
             bound_compare(v, alpha, cmp, side) is Ordering.FIRST_BETTER)
         if above_best:
@@ -276,7 +215,8 @@ def _ab(p: Position, depth: int, alpha: Bound, beta: Bound, cmp,
     return best, best_move, best_line
 
 
-def alphabeta_cmp(p: Position, depth: int, alpha: Bound, beta: Bound, cmp,
+def alphabeta_cmp(p: Position, depth: int, alpha: Position | int,
+                  beta: Position | int, cmp,
                   stats: Optional[SearchStats] = None) -> tuple:
     """One fixed-depth comparison search. Returns (bound, move).
 
@@ -313,9 +253,8 @@ def search_root(p: Position, limits: SearchLimits, cmp) -> SearchResult:
                 and time.monotonic() - start >= limits.soft_time):
             break
         try:
-            _, move, line = _ab(p, depth, Bound.min_sentinel(),
-                                Bound.max_sentinel(), cmp, stats, 0,
-                                best_move)
+            _, move, line = _ab(p, depth, MIN_BOUND, MAX_BOUND, cmp,
+                                stats, 0, best_move)
         except _Abort:
             break
         best_move, best_line, depth_reached = move, line, depth

@@ -32,8 +32,10 @@ from .inference import (
 from .search import SearchLimits, clock_limits, search_root
 
 ENGINE_NAME = "cmpchess"
-COMPARATORS = ("learned", "material", "random")
+COMPARATORS = ("material", "random", "learned")  # in advertised order
 MAX_CACHE_MB = 4096
+# (min, max) of each integer setting, as the `uci` reply advertises them
+INT_RANGES = {"seed": (0, 999_999_999), "max_depth": (1, 64)}
 
 
 @dataclass
@@ -52,12 +54,24 @@ class EngineConfig:
         if self.comparator != "learned" and self.model_path:
             raise ValueError("model_path only applies to the learned "
                              "comparator")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        for name, (low, high) in INT_RANGES.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValueError(f"{name} must be in {low}..{high}, "
+                                 f"got {value}")
         if not (math.isfinite(self.cache_mb)
                 and 0 < self.cache_mb <= MAX_CACHE_MB):
             raise ValueError(f"cache_mb must be a number > 0 and <= "
                              f"{MAX_CACHE_MB}, got {self.cache_mb}")
+
+
+def read_setting(name: str, value, kind):
+    """`kind(value)`; a number that does not parse is refused by name."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} = {value}: expected {noun}") from None
 
 
 def build_comparator(cfg: EngineConfig):
@@ -188,14 +202,16 @@ def _handle_setoption(session: _Session, tokens: list) -> None:
         raise ValueError("setoption needs 'name'")
     if "value" in tokens:
         cut = tokens.index("value")
-        name = " ".join(tokens[1:cut]).strip().lower()
+        given = " ".join(tokens[1:cut]).strip()
         value = " ".join(tokens[cut + 1:]).strip()
     else:
-        name = " ".join(tokens[1:]).strip().lower()
+        given = " ".join(tokens[1:]).strip()
         value = ""
+    name = given.lower()
     cfg = session.cfg
     if name in _SPIN_OPTIONS:
-        number = float(value) if name == "cachemb" else int(value)
+        number = read_setting(given, value,
+                              float if name == "cachemb" else int)
         session.cfg = replace(cfg, **{_SPIN_OPTIONS[name]: number})
     elif name == "comparator":
         value = value.lower()
@@ -244,18 +260,19 @@ def _handle_uci(session: _Session) -> None:
     """Identify the engine and advertise each option at its current value."""
     from . import __version__
     cfg = session.cfg
+    seeds, depths = INT_RANGES["seed"], INT_RANGES["max_depth"]
     session.say(f"id name {ENGINE_NAME} {__version__}")
     session.say(f"id author the {ENGINE_NAME} developers")
     session.say(f"option name CacheMB type spin default {cfg.cache_mb:g} "
                 f"min 1 max {MAX_CACHE_MB}")
     session.say(f"option name Comparator type combo default {cfg.comparator} "
-                "var material var random var learned")
+                + " ".join(f"var {name}" for name in COMPARATORS))
     session.say(f"option name ModelPath type string default "
                 f"{cfg.model_path or ''}")
     session.say(f"option name Seed type spin default {cfg.seed} "
-                "min 0 max 999999999")
+                f"min {seeds[0]} max {seeds[1]}")
     session.say(f"option name MaxDepth type spin default {cfg.max_depth} "
-                "min 1 max 64")
+                f"min {depths[0]} max {depths[1]}")
     session.say("uciok")
 
 

@@ -47,7 +47,7 @@ from cmpchess.nn.train import (
     train_deepchess,
 )
 from cmpchess.pgn import parse_pgn
-from cmpchess.search import Bound, SearchLimits, SearchStats, alphabeta_cmp, search_root
+from cmpchess.search import MAX_BOUND, MIN_BOUND, SearchLimits, SearchStats, alphabeta_cmp, search_root
 from cmpchess.uci import EngineConfig
 
 
@@ -308,7 +308,7 @@ def test_05_distillation(report, material_teacher):
 def test_06_search_oracle(report, corpus10k):
     pos = [p for p in corpus10k[::7] if legal_moves(p)][:200]
     assert len(pos) == 200
-    lo, hi = Bound.min_sentinel(), Bound.max_sentinel()
+    lo, hi = MIN_BOUND, MAX_BOUND
     mat = MaterialComparator()
 
     t0 = time.perf_counter()

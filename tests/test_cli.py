@@ -79,6 +79,13 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="cache_mb"):
             EngineConfig(cache_mb=float(value))
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_depth", "65"), ("seed", "-1"), ("seed", "1000000000")])
+    def test_int_setting_outside_its_range_refused_by_name(self, key,
+                                                           value):
+        with pytest.raises(UsageError, match=key):
+            engine_config_from({key: value})
+
     @pytest.mark.parametrize("value", ["0.5", "4096"])
     def test_cache_size_within_bounds_accepted(self, value):
         assert engine_config_from({"cache_mb": value}).cache_mb \
@@ -254,6 +261,23 @@ class TestOperation:
         # without the flags the file's values hold
         assert main(["match", "--config", str(cfg)]) == 0
         assert file_pgn.read_text().count("[Event ") == 2
+
+    @pytest.mark.parametrize("command, text, named", [
+        ("bench", "seed = 1.5\n", "seed = 1.5"),
+        ("match", "a.max_depth = 1\nb.max_depth = 1\nb.seed = x\n",
+         "b.seed = x"),
+        ("match", "a.max_depth = 1\nb.max_depth = 1\ngames = two\n",
+         "games = two"),
+        ("match", "a.max_depth = 1\nb.max_depth = 1\nmax_plies = 4.5\n",
+         "max_plies = 4.5"),
+    ], ids=["engine-key", "match-engine-key", "games", "max-plies"])
+    def test_unparsed_integer_refused_by_key(self, tmp_path, capsys, command,
+                                             text, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            f"usage error: {named}: expected an integer\n"
 
     def test_match_time_per_game_forms(self):
         assert _clock("60") == (60.0, 60.0)

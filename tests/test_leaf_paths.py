@@ -245,14 +245,13 @@ class TestSearchLeaves:
     def test_depth_zero_bound(self, name, fen, moves):
         p = parse_fen(fen)
         bound, move = search.alphabeta_cmp(
-            p, 0, search.Bound.min_sentinel(), search.Bound.max_sentinel(),
-            MaterialComparator())
+            p, 0, search.MIN_BOUND, search.MAX_BOUND, MaterialComparator())
         if moves:
-            want = search.Bound.pos(p)
+            want = p
         elif p.is_check():
-            want = search.Bound.loss(0)
+            want = search.loss(0)
         else:
-            want = search.Bound.draw()
+            want = search.DRAW
         assert (bound, move) == (want, None)
 
 

@@ -3,18 +3,17 @@ and the iterative-deepening driver."""
 
 import pytest
 
-from cmpchess.board import Color, Move, apply_move, has_legal_move, \
-    legal_moves, parse_fen, startpos
+from cmpchess.board import Color, Move, Position, apply_move, \
+    has_legal_move, legal_moves, parse_fen, startpos
 from cmpchess.inference import (
     FeatureCache, LearnedComparator, MaterialComparator, Ordering,
     RandomComparator, baseline_eval, material_balance,
 )
 from cmpchess.nn.model import init_siamese
 from cmpchess.search import (
-    Bound, MAX_SENTINEL, MIN_SENTINEL, NoLegalMoves, POSITION, SearchLimits,
-    SearchResult, SearchStats, TERMINAL_DRAW, TERMINAL_DRAW_GIVEN,
-    TERMINAL_LOSS, TERMINAL_WIN, _ab, alphabeta_cmp, bound_compare, negate,
-    order_moves, search_root,
+    DRAW, DRAW_GIVEN, MATE, MAX_BOUND, MIN_BOUND, NoLegalMoves, SearchLimits,
+    SearchStats, _ab, alphabeta_cmp, bound_compare, loss, negate,
+    order_moves, search_root, win,
 )
 
 from oracles import (
@@ -30,27 +29,27 @@ UP_ROOK = parse_fen(
     "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBN1 b Qkq - 0 1")
 
 
-def embed(bound: Bound, root_side: Color) -> int:
+def embed(bound, root_side: Color) -> int:
     """Map a search bound onto the scalar oracle's value scale."""
-    if bound.kind == TERMINAL_LOSS:
-        return -(SEARCH_MATE - bound.ply)
-    if bound.kind == TERMINAL_WIN:
-        return SEARCH_MATE - bound.ply
-    if bound.kind == TERMINAL_DRAW:
-        return -DRAW_SCORE
-    if bound.kind == TERMINAL_DRAW_GIVEN:
-        return DRAW_SCORE
-    if bound.kind == POSITION:
-        score = baseline_eval(bound.position)
+    if isinstance(bound, Position):
+        score = baseline_eval(bound)
         return score if root_side == Color.WHITE else -score
+    if bound == DRAW:
+        return -DRAW_SCORE
+    if bound == DRAW_GIVEN:
+        return DRAW_SCORE
+    if loss(0) <= bound < DRAW:
+        return -(SEARCH_MATE - (bound + MATE))  # mated at ply bound + MATE
+    if DRAW_GIVEN < bound <= win(0):
+        return SEARCH_MATE - (MATE - bound)  # mates at ply MATE - bound
     raise AssertionError(f"sentinel leaked into a result: {bound!r}")
 
 
 class TestBoundCompare:
     def test_sentinels_are_extremal(self):
-        lo, hi = Bound.min_sentinel(), Bound.max_sentinel()
-        others = [Bound.loss(3), Bound.draw(), Bound.pos(startpos()),
-                  Bound.draw_given(), Bound.win(2)]
+        lo, hi = MIN_BOUND, MAX_BOUND
+        others = [loss(0), loss(3), DRAW, startpos(), DRAW_GIVEN, win(2),
+                  win(0)]
         for side in (Color.WHITE, Color.BLACK):
             for b in others:
                 assert bound_compare(b, lo, MAT, side) is Ordering.FIRST_BETTER
@@ -58,10 +57,9 @@ class TestBoundCompare:
                 assert bound_compare(hi, b, MAT, side) is Ordering.FIRST_BETTER
                 assert bound_compare(b, hi, MAT, side) is Ordering.SECOND_BETTER
 
-    def test_kind_ladder(self):
-        ladder = [Bound.min_sentinel(), Bound.loss(1), Bound.draw(),
-                  Bound.pos(startpos()), Bound.draw_given(), Bound.win(1),
-                  Bound.max_sentinel()]
+    def test_rank_ladder(self):
+        ladder = [MIN_BOUND, loss(1), DRAW, startpos(), DRAW_GIVEN, win(1),
+                  MAX_BOUND]
         for i, low in enumerate(ladder):
             for high in ladder[i + 1:]:
                 assert bound_compare(high, low, MAT,
@@ -70,68 +68,65 @@ class TestBoundCompare:
     def test_mate_distance_preferences(self):
         side = Color.WHITE
         # losing later is better for the mated side
-        assert bound_compare(Bound.loss(7), Bound.loss(3), MAT,
+        assert bound_compare(loss(7), loss(3), MAT,
                              side) is Ordering.FIRST_BETTER
-        assert bound_compare(Bound.loss(3), Bound.loss(7), MAT,
+        assert bound_compare(loss(3), loss(7), MAT,
                              side) is Ordering.SECOND_BETTER
         # mating sooner is better for the mating side
-        assert bound_compare(Bound.win(1), Bound.win(3), MAT,
+        assert bound_compare(win(1), win(3), MAT,
                              side) is Ordering.FIRST_BETTER
-        assert bound_compare(Bound.win(3), Bound.win(1), MAT,
+        assert bound_compare(win(3), win(1), MAT,
                              side) is Ordering.SECOND_BETTER
 
     def test_exact_ties_fall_second(self):
-        for x, y in [(Bound.loss(4), Bound.loss(4)),
-                     (Bound.win(2), Bound.win(2)),
-                     (Bound.draw(), Bound.draw()),
-                     (Bound.min_sentinel(), Bound.min_sentinel())]:
+        for x, y in [(loss(4), loss(4)), (win(2), win(2)), (DRAW, DRAW),
+                     (MIN_BOUND, MIN_BOUND)]:
             assert bound_compare(x, y, MAT, Color.WHITE) is Ordering.SECOND_BETTER
 
     def test_position_ordering_uses_comparator(self):
-        a, b = Bound.pos(UP_QUEEN), Bound.pos(startpos())
+        a, b = UP_QUEEN, startpos()
         assert bound_compare(a, b, MAT, Color.WHITE) is Ordering.FIRST_BETTER
         assert bound_compare(b, a, MAT, Color.WHITE) is Ordering.SECOND_BETTER
 
     def test_black_perspective_inverts_positions(self, playout_positions):
         ps = playout_positions[::97]
         for a, b in zip(ps, ps[1:]):
-            white = bound_compare(Bound.pos(a), Bound.pos(b), MAT, Color.WHITE)
-            black = bound_compare(Bound.pos(a), Bound.pos(b), MAT, Color.BLACK)
+            white = bound_compare(a, b, MAT, Color.WHITE)
+            black = bound_compare(a, b, MAT, Color.BLACK)
             assert white is not black  # literal inversion, pair for pair
 
-    def test_perspective_does_not_touch_other_kinds(self):
-        assert bound_compare(Bound.loss(7), Bound.loss(3), MAT,
+    def test_perspective_does_not_touch_ranks(self):
+        assert bound_compare(loss(7), loss(3), MAT,
                              Color.BLACK) is Ordering.FIRST_BETTER
-        assert bound_compare(Bound.win(1), Bound.win(3), MAT,
+        assert bound_compare(win(1), win(3), MAT,
                              Color.BLACK) is Ordering.FIRST_BETTER
 
 
 class TestNegate:
     def test_mapping(self):
-        assert negate(Bound.loss(5)) == Bound.win(5)
-        assert negate(Bound.win(5)) == Bound.loss(5)
-        assert negate(Bound.draw()) == Bound.draw_given()
-        assert negate(Bound.draw_given()) == Bound.draw()
-        assert negate(Bound.min_sentinel()) == Bound.max_sentinel()
-        p = Bound.pos(startpos())
-        assert negate(p) == p
+        assert negate(loss(5)) == win(5)
+        assert negate(win(5)) == loss(5)
+        assert negate(DRAW) == DRAW_GIVEN
+        assert negate(DRAW_GIVEN) == DRAW
+        assert negate(MIN_BOUND) == MAX_BOUND
+        p = startpos()
+        assert negate(p) is p
 
     def test_involution(self):
-        for b in [Bound.loss(2), Bound.win(9), Bound.draw(),
-                  Bound.draw_given(), Bound.pos(UP_QUEEN),
-                  Bound.min_sentinel(), Bound.max_sentinel()]:
+        for b in [loss(2), win(9), DRAW, DRAW_GIVEN, UP_QUEEN, MIN_BOUND,
+                  MAX_BOUND]:
             assert negate(negate(b)) == b
 
 
 class TestAlphabeta:
     def full_window(self):
-        return Bound.min_sentinel(), Bound.max_sentinel()
+        return MIN_BOUND, MAX_BOUND
 
     def test_depth_zero_returns_own_position(self):
         p = startpos()
         a, b = self.full_window()
         bound, move = alphabeta_cmp(p, 0, a, b, MAT)
-        assert bound == Bound.pos(p)
+        assert bound is p
         assert move is None
 
     def test_checkmate_node(self):
@@ -139,7 +134,7 @@ class TestAlphabeta:
         assert mated.is_checkmate()
         a, b = self.full_window()
         bound, move = alphabeta_cmp(mated, 3, a, b, MAT)
-        assert bound == Bound.loss(0)
+        assert bound == loss(0)
         assert move is None
 
     def test_stalemate_node(self):
@@ -147,7 +142,7 @@ class TestAlphabeta:
         assert stale.is_stalemate()
         a, b = self.full_window()
         bound, move = alphabeta_cmp(stale, 2, a, b, MAT)
-        assert bound == Bound.draw()
+        assert bound == DRAW
         assert move is None
 
     def test_mate_in_one_found_at_depth_two(self):
@@ -155,15 +150,15 @@ class TestAlphabeta:
         a, b = self.full_window()
         bound, move = alphabeta_cmp(p, 2, a, b, MAT)
         assert move == Move.from_uci("e1e8")
-        assert bound == Bound.win(1)  # the opponent is mated one ply in
+        assert bound == win(1)  # the opponent is mated one ply in
 
     def test_depth_one_takes_hanging_queen(self):
         p = parse_fen("k7/8/8/3q4/4P3/8/8/K7 w - - 0 1")
         a, b = self.full_window()
         bound, move = alphabeta_cmp(p, 1, a, b, MAT)
         assert move == Move.from_uci("e4d5")
-        assert bound.kind == POSITION
-        assert material_balance(bound.position) == material_balance(p) + 9
+        assert isinstance(bound, Position)
+        assert material_balance(bound) == material_balance(p) + 9
 
     def test_oracle_value_agreement_depth3(self, playout_positions):
         ps = [q for q in playout_positions[::101] if legal_moves(q)][:10]
@@ -183,8 +178,8 @@ class TestAlphabeta:
         from cmpchess.search import SearchStats, _ab
         for p in ps:
             stats = SearchStats()
-            bound, _, _ = _ab(p, 3, Bound.min_sentinel(), Bound.max_sentinel(),
-                              MAT, stats, 0, None)
+            bound, _, _ = _ab(p, 3, MIN_BOUND, MAX_BOUND, MAT, stats, 0,
+                              None)
             counter = [0]
             mm = scalar_minimax(p, 3, counter)
             assert embed(bound, p.side_to_move) == mm
@@ -292,12 +287,12 @@ def two_question_ab(p, depth, alpha, beta, cmp, stats, ply, prev_best):
     child, kept as the reference for the one-question loop."""
     stats.tick()
     if depth == 0 and has_legal_move(p):
-        return Bound.pos(p), None, []
+        return p, None, []
     moves = legal_moves(p)
     if not moves:
-        return (Bound.loss(ply) if p.is_check() else Bound.draw()), None, []
+        return (loss(ply) if p.is_check() else DRAW), None, []
     side = p.side_to_move
-    best = Bound.min_sentinel()
+    best = MIN_BOUND
     best_move = None
     best_line: list = []
     for m in order_moves(p, moves, prev_best):
@@ -332,8 +327,8 @@ class TestOneQuestionWhenAlphaIsBest:
     # ply 2, whose children are leaves that ignore it; a root alpha at the
     # root position makes alpha matter at every ply.
     WINDOWS = {
-        "full": lambda p: (Bound.min_sentinel(), Bound.max_sentinel()),
-        "alpha-at-root": lambda p: (Bound.pos(p), Bound.max_sentinel()),
+        "full": lambda p: (MIN_BOUND, MAX_BOUND),
+        "alpha-at-root": lambda p: (p, MAX_BOUND),
     }
 
     @pytest.mark.parametrize("window", sorted(WINDOWS))

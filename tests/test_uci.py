@@ -378,6 +378,28 @@ class TestSetOption:
         out = run_lines(["setoption name CacheMB value 0.5", "quit"])
         assert not any(line.startswith("info string") for line in out)
 
+    @pytest.mark.parametrize("name, value, noun", [
+        ("Seed", "1.5", "an integer"), ("MaxDepth", "two", "an integer"),
+        ("CacheMB", "lots", "a number")])
+    def test_unparsed_number_diagnosed_by_option(self, name, value, noun):
+        out = run_lines([f"setoption name {name} value {value}", "quit"])
+        (diag,) = [line for line in out if line.startswith("info string")]
+        assert diag == (f"info string setoption failed: {name} = {value}: "
+                        f"expected {noun}")
+
+    @pytest.mark.parametrize("name, value, field", [
+        ("MaxDepth", "65", "max_depth"), ("Seed", "-1", "seed"),
+        ("Seed", "1000000000", "seed")])
+    def test_out_of_range_spin_diagnosed(self, name, value, field):
+        out = run_lines([f"setoption name {name} value {value}", "uci",
+                         "quit"])
+        (diag,) = [line for line in out if line.startswith("info string")]
+        assert "setoption" in diag and field in diag
+        # the refused value leaves the setting as it was
+        assert "option name Seed type spin default 0 min 0 max 999999999" \
+            in out
+        assert "option name MaxDepth type spin default 64 min 1 max 64" in out
+
 
 class TestRobustness:
     def test_malformed_commands_are_diagnosed_not_fatal(self):
@@ -434,6 +456,26 @@ class TestEngineConfig:
             EngineConfig(comparator="material", model_path="x.model")
         with pytest.raises(ValueError):
             EngineConfig(comparator="no-such")
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_depth", 0), ("max_depth", 65), ("seed", -1),
+        ("seed", 1_000_000_000)])
+    def test_int_setting_outside_its_range_refused_by_name(self, field,
+                                                           value):
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, end", [
+        (field, end) for field in uci.INT_RANGES for end in (0, 1)])
+    def test_advertised_default_lies_in_its_range(self, field, end):
+        value = uci.INT_RANGES[field][end]
+        out = run_lines(["uci", "quit"], EngineConfig(**{field: value}))
+        option = {"seed": "Seed", "max_depth": "MaxDepth"}[field]
+        (line,) = [l for l in out if l.startswith(f"option name {option} ")]
+        words = line.split()
+        low, default, high = (int(words[words.index(k) + 1])
+                              for k in ("min", "default", "max"))
+        assert default == value and low <= default <= high
 
     def test_labels(self):
         assert engine_label(EngineConfig()) == "material"
